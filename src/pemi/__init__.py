@@ -43,14 +43,12 @@ from .errors import (
 )
 from .permutations import permute_with_imputation, sample_permutations
 from .quantiles import augmented_quantile, weighted_quantile
-from .types import DataSequence, LabeledPoint, MultiTestData, OrderedSequence, Permutation, PermutationSample
+from .types import DataSequence, MultiTestData, OrderedSequence, PermutationSample
 
 __all__ = [
     "DataSequence",
-    "LabeledPoint",
     "MultiTestData",
     "OrderedSequence",
-    "Permutation",
     "PermutationSample",
     "SelectionPValue",
     "sample_permutations",

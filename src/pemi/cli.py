@@ -21,7 +21,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigurationError, GuardError, ParseError, SchemaError
+from .errors import ConfigurationError, DomainError, GuardError, ParseError, SchemaError
 from .experiment import ExperimentConfig, recompute_metrics, run_experiment, write_outputs
 
 EXIT_CONFIG = 2
@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, GuardError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SchemaError, ParseError, FileNotFoundError) as err:
+    except (SchemaError, ParseError, DomainError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

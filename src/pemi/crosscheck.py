@@ -161,30 +161,14 @@ def _label_grid(inst: Instance, n_points: int) -> np.ndarray:
     return grid
 
 
-def _fast_set(inst: Instance, perms: PermutationSample):
-    if inst.family == "covariate":
-        return fast.covariate_set(inst.data, inst.rule, inst.score, perms, inst.alpha)
-    if inst.family == "covariate_randomized":
-        return fast.covariate_set_randomized(
-            inst.data, inst.rule, inst.score, perms, inst.alpha, inst.u
-        )
-    if inst.family in ("conformal_fixed", "conformal_adaptive"):
-        return fast.conformal_pvalue_set(inst.data, inst.rule, inst.score, perms, inst.alpha)
-    if inst.family == "elond":
-        return fast.elond_set(inst.data, inst.rule, inst.score, perms, inst.alpha)
-    if inst.family == "earlier_outcome":
-        return fast.earlier_outcome_set(inst.data, inst.rule, inst.score, perms, inst.alpha)
-    raise PemiError(f"unknown family {inst.family!r}")
-
-
 def check_instance(
     inst: Instance, perms: PermutationSample, grid_points: int = 100
 ) -> int:
     """Number of grid labels on which the closed form and the generic
     engine disagree (0 means fully consistent)."""
     grid = _label_grid(inst, grid_points)
-    dset = _fast_set(inst, perms)
     u = inst.u if inst.family == "covariate_randomized" else None
+    dset = fast._closed_form(inst.data, inst.rule, inst.score, perms, inst.alpha, u)
     generic = pemi_set_grid(grid, inst.data, inst.rule, inst.score, perms, inst.alpha, u=u)
     fast_membership = np.array(
         [dset.contains(float(y), inst.score, inst.data.test_x) for y in grid]

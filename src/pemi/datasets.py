@@ -7,12 +7,15 @@ Schema (header row required, UTF-8, '.' decimal):
   ``mu_hat``, optionally with extra model columns ``f1..fk``;
 * optional per-point cutoff column ``c``.
 
-Row order is stream order.  ``inf`` is the literal for infinite values.
+Row order is stream order.  Every cell must be a number; ``nan`` is
+rejected everywhere, and ``inf``, the literal for infinite values, is
+accepted in the cutoff column only.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +50,12 @@ class StreamData:
 
 def _parse_float(text: str, path: Path, line: int, col: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"{path}:{line}: column {col!r}: cannot parse {text!r}") from None
+    if math.isnan(value) or (math.isinf(value) and col != "c"):
+        raise ParseError(f"{path}:{line}: column {col!r}: {text!r} is not a finite number")
+    return value
 
 
 def load_dataset(path: str | Path) -> StreamData:

@@ -146,19 +146,22 @@ class CutoffScoreFromModel:
         return np.asarray(self.mu(X), dtype=float) - np.asarray(c, dtype=float)
 
 
+def _no_options_left(spec: dict, what: str) -> None:
+    if spec:
+        raise ConfigurationError(f"unknown options for {what}: {sorted(spec)}")
+
+
 def _resolve_model(spec: dict | None, gen: GeneratorConfig | None, stream: StreamData | None):
     spec = dict(spec or {"name": "true_mean" if gen is not None else "column"})
     name = spec.pop("name")
     if name == "true_mean":
         if gen is None:
             raise ConfigurationError("true_mean model needs a generator run")
-        if spec:
-            raise ConfigurationError(f"unknown model options {sorted(spec)}")
+        _no_options_left(spec, "model 'true_mean'")
         return TrueMeanModel(gen)
     if name == "column":
         idx = int(spec.pop("index", 0))
-        if spec:
-            raise ConfigurationError(f"unknown model options {sorted(spec)}")
+        _no_options_left(spec, "model 'column'")
         if stream is not None and idx >= stream.X.shape[1]:
             raise ConfigurationError(f"model column {idx} outside the dataset's columns")
         return ColumnModel(idx)
@@ -167,8 +170,7 @@ def _resolve_model(spec: dict | None, gen: GeneratorConfig | None, stream: Strea
             raise ConfigurationError("linear_fit model needs a generator run")
         train_n = int(spec.pop("train_n", 500))
         train_seed = int(spec.pop("train_seed", 1))
-        if spec:
-            raise ConfigurationError(f"unknown model options {sorted(spec)}")
+        _no_options_left(spec, "model 'linear_fit'")
         rng = np.random.default_rng(np.random.SeedSequence((train_seed, 88261)))
         X, Y = generate(gen, train_n, rng)
         return fit_linear_model(X, Y)
@@ -188,8 +190,7 @@ def _resolve_rule(
         return _resolve_model(spec.pop(key, None), gen, stream)
 
     def done(rule: SelectionRule) -> SelectionRule:
-        if spec:
-            raise ConfigurationError(f"unknown options for rule {name!r}: {sorted(spec)}")
+        _no_options_left(spec, f"rule {name!r}")
         return rule
 
     try:
@@ -250,7 +251,9 @@ def _resolve_score(
     spec = dict(spec)
     name = spec.pop("name", "abs_residual")
     if name == "abs_residual":
-        return AbsoluteResidualScore(model=_resolve_model(spec.pop("model", None), gen, stream))
+        model = _resolve_model(spec.pop("model", None), gen, stream)
+        _no_options_left(spec, f"score {name!r}")
+        return AbsoluteResidualScore(model=model)
     raise ConfigurationError(f"unknown score {name!r}")
 
 
@@ -259,12 +262,17 @@ def _resolve_cutoff(spec: dict | None, gen: GeneratorConfig | None) -> float | N
         return None
     spec = dict(spec)
     if "value" in spec:
-        return float(spec["value"])
+        value = float(spec.pop("value"))
+        _no_options_left(spec, "cutoff 'value'")
+        return value
+    if "quantile" not in spec:
+        raise ConfigurationError("cutoff needs a 'value' or a 'quantile'")
     if gen is None:
         raise ConfigurationError("cutoff quantile needs a generator run (datasets carry a c column)")
     q = float(spec.pop("quantile"))
     sample_n = int(spec.pop("sample_n", 2000))
     seed = int(spec.pop("seed", 7))
+    _no_options_left(spec, "cutoff 'quantile'")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 55117)))
     _, Y = generate(gen, sample_n, rng)
     return float(np.quantile(Y, q))
@@ -346,8 +354,9 @@ def _observed_trajectory(res: ResolvedExperiment, X, Y, cuts) -> np.ndarray:
     cfg = res.config
     n_off = cfg.offline_n
     if isinstance(res.rule, CovariateRule) and n_off == 0:
+        # the reference decision on each prefix, as the closed form's precondition checks it
         vals = res.rule.point_values(X)
-        return res.rule.trajectory_values(vals)
+        return np.array([res.rule.select_values(vals[: i + 1]) for i in range(vals.shape[0])])
     seq = OrderedSequence(
         prefix_x=X[:-1],
         prefix_y=Y[:-1],
@@ -376,26 +385,6 @@ def _data_at(res: ResolvedExperiment, X, Y, cuts, t: int) -> DataSequence:
     )
 
 
-def _pemi_set(res: ResolvedExperiment, data, perms, u: float, obs_traj, t: int, randomized: bool):
-    rule = res.rule
-    if isinstance(rule, CovariateRule):
-        taxonomy = None
-        if res.config.taxonomy_fcr:
-            taxonomy = SelectionTaxonomy.singleton(tuple(int(v) for v in obs_traj[:t]))
-        if randomized:
-            return fast.covariate_set_randomized(data, rule, res.score, perms, res.config.alpha, u, taxonomy)
-        return fast.covariate_set(data, rule, res.score, perms, res.config.alpha, taxonomy)
-    if randomized:
-        raise ConfigurationError("pemi_rand has a closed form for label-free rules only")
-    if isinstance(rule, ConformalPValueRule):
-        return fast.conformal_pvalue_set(data, rule, res.score, perms, res.config.alpha)
-    if isinstance(rule, ELondRule):
-        return fast.elond_set(data, rule, res.score, perms, res.config.alpha)
-    if isinstance(rule, EarlierOutcomeRule):
-        return fast.earlier_outcome_set(data, rule, res.score, perms, res.config.alpha)
-    raise ConfigurationError(f"no closed-form path for rule {type(rule).__name__}")
-
-
 def _run_replication(res: ResolvedExperiment, rep: int) -> list[Event]:
     cfg = res.config
     ss = np.random.SeedSequence(entropy=(cfg.seed, rep))
@@ -415,6 +404,7 @@ def _run_replication(res: ResolvedExperiment, rep: int) -> list[Event]:
             continue
         u = float(u_rng.random())
         data = _data_at(res, X, Y, cuts, t)
+        taxonomy = SelectionTaxonomy.singleton(traj[:t]) if cfg.taxonomy_fcr else None
         perms = None
         y_true = float(Y[n_off + t - 1])
         x_t = X[n_off + t - 1]
@@ -429,7 +419,8 @@ def _run_replication(res: ResolvedExperiment, rep: int) -> list[Event]:
                     perms = sample_permutations(
                         t, cfg.M, seed=(perm_base + t) & ((1 << 64) - 1), n_offline=n_off
                     )
-                dset = _pemi_set(res, data, perms, u, traj, t, randomized=method == "pemi_rand")
+                u_rand = u if method == "pemi_rand" else None
+                dset = fast._closed_form(data, res.rule, res.score, perms, cfg.alpha, u_rand, taxonomy)
             events.append(
                 Event(
                     rep=rep,

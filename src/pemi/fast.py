@@ -12,7 +12,8 @@ Three structures make this possible:
 
 Each path is verified against the generic engine by the test suite; the
 arithmetic below deliberately routes through the same kernels the rules
-use so both routes see identical floating-point values.
+use so both routes see identical floating-point values.  ``_closed_form``
+is the one place that picks the construction for a rule.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .rules import (
     CovariateRule,
     EarlierOutcomeRule,
     ELondRule,
+    SelectionRule,
     SelectionTaxonomy,
     elond_selection_profile,
     weighted_pvalue_history,
@@ -61,6 +63,34 @@ class CalibrationDetail:
     @property
     def moved_count(self) -> int:
         return int(self.moved_scores.shape[0])
+
+
+def _closed_form(
+    data: DataSequence,
+    rule: SelectionRule,
+    score: LastPointScore,
+    perms: PermutationSample,
+    alpha: float,
+    u: float | None = None,
+    taxonomy: SelectionTaxonomy | None = None,
+):
+    """The closed-form set for ``rule``: tie-randomized with the uniform
+    ``u`` and trajectory-restricted by ``taxonomy`` when given, both for
+    label-free rules only."""
+    # Private, and looks the constructors up at call time: wrapping or replacing one by name reaches every caller.
+    if isinstance(rule, CovariateRule):
+        if u is None:
+            return covariate_set(data, rule, score, perms, alpha, taxonomy)
+        return covariate_set_randomized(data, rule, score, perms, alpha, u, taxonomy)
+    if u is not None or taxonomy is not None:
+        raise ConfigurationError("randomized and trajectory-pinned sets need a label-free rule")
+    if isinstance(rule, ConformalPValueRule):
+        return conformal_pvalue_set(data, rule, score, perms, alpha)
+    if isinstance(rule, ELondRule):
+        return elond_set(data, rule, score, perms, alpha)
+    if isinstance(rule, EarlierOutcomeRule):
+        return earlier_outcome_set(data, rule, score, perms, alpha)
+    raise ConfigurationError(f"no closed form for rule {type(rule).__name__}")
 
 
 def _taxonomy_mask(traj: np.ndarray, taxonomy: SelectionTaxonomy) -> np.ndarray:

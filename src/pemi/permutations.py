@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .types import DataSequence, OrderedSequence, Permutation, PermutationSample
+from .types import DataSequence, OrderedSequence, PermutationSample
 
 __all__ = [
     "sample_permutations",
@@ -86,16 +86,15 @@ def sample_permutations(
     return PermutationSample(matrix=matrix, seed=seed, n_points=n_points, index_start=index_start)
 
 
-def permute_with_imputation(
-    seq: DataSequence, pi: Permutation | np.ndarray, y: float
-) -> OrderedSequence:
-    """Reorder a sequence under ``pi`` with ``y`` imputed for the test label.
+def permute_with_imputation(seq: DataSequence, order: np.ndarray, y: float) -> OrderedSequence:
+    """Reorder a sequence by ``order`` with ``y`` imputed for the test label.
 
-    The slot holding the test point carries ``(test_x, y)`` whenever it
-    lands in a labeled position; the final slot exposes covariates only.
-    Cutoffs travel with their points.
+    ``order[s]`` is the slot whose point moves to slot ``s``.  The slot
+    holding the test point carries ``(test_x, y)`` whenever it lands in a
+    labeled position; the final slot exposes covariates only.  Cutoffs
+    travel with their points.
     """
-    order = np.asarray(pi.order if isinstance(pi, Permutation) else pi, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
     n = seq.n_slots
     if order.shape != (n,):
         raise DomainError(f"permutation domain size {order.shape} != sequence slots {n}")

@@ -1,14 +1,13 @@
 """Online selection rules: who gets a prediction set, and when.
 
 A rule maps an ordered sequence (labeled prefix plus final-slot
-covariates) to a binary decision.  Two capability tags drive the
-closed-form prediction-set paths:
-
-* ``covariate_only`` — the decision never reads labels, so the
-  selection-preserving permutations do not depend on the imputed label.
-* ``cutoff_binary``  — labels enter only through the indicators
-  ``1{y_i <= c_i}``, so an imputed label matters only through its side of
-  the test cutoff.
+covariates) to a binary decision.  ``select`` is the readable reference
+that the generic engine and the oracle replay one permutation at a time.
+A covariate rule (``covariate_only``: the decision never reads labels)
+decides from one scalar per point: ``select_values`` is its reference
+decision, and one batched kernel over an ``(R, T)`` array of permuted
+scalars serves the closed forms in ``pemi.fast``, which pick their
+construction by rule type.
 
 Rules are immutable and pure; evaluation on permuted sequences happens by
 materializing the permuted order, never by mutating state.
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .scores import ModelFn
-from .thresholds import ThresholdEngine, default_gamma, lond_threshold
+from .thresholds import ThresholdEngine, default_gamma
 from .types import OrderedSequence
 
 __all__ = [
@@ -40,13 +39,9 @@ __all__ = [
     "ELondRule",
     "EarlierOutcomeRule",
     "SelectionTaxonomy",
-    "evaluate_rule",
-    "evaluate_trajectory",
     "recency_weights",
     "weighted_pvalue_history",
-    "weighted_conformal_pvalue",
     "prediction_minus_cutoff",
-    "lond_threshold",
 ]
 
 
@@ -76,7 +71,6 @@ class SelectionRule(abc.ABC):
     """Deterministic map from an ordered sequence to a select/skip bit."""
 
     covariate_only: ClassVar[bool] = False
-    cutoff_binary: ClassVar[bool] = False
 
     @abc.abstractmethod
     def select(self, seq: OrderedSequence) -> bool: ...
@@ -84,22 +78,6 @@ class SelectionRule(abc.ABC):
     def trajectory(self, seq: OrderedSequence) -> tuple[int, ...]:
         """Decisions on every online prefix of ``seq`` (length-i prefixes)."""
         return tuple(int(self.select(seq.prefix(i))) for i in range(1, seq.online_length + 1))
-
-
-def evaluate_rule(rule: SelectionRule, seq: OrderedSequence) -> int:
-    """The rule's decision on an explicit (possibly permuted) sequence."""
-    return int(rule.select(seq))
-
-
-def evaluate_trajectory(
-    rules: SelectionRule | Sequence[SelectionRule], seq: OrderedSequence
-) -> tuple[int, ...]:
-    """Per-step decisions s_1..s_t; entry i uses only the length-i prefix."""
-    if isinstance(rules, SelectionRule):
-        return rules.trajectory(seq)
-    if len(rules) != seq.online_length:
-        raise ConfigurationError("need one rule per online step")
-    return tuple(int(r.select(seq.prefix(i))) for i, r in enumerate(rules, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +90,9 @@ class CovariateRule(SelectionRule):
 
     ``point_values`` maps covariate rows to those scalars (computed once
     per underlying point); ``select_values`` decides from the scalars in
-    sequence order.  Batch hooks let the closed-form paths evaluate all
-    permutations of one sequence at once.
+    sequence order and is the reference.  Each subclass also overrides
+    exactly one batched kernel, ``select_values_batch`` or
+    ``trajectory_values_batch``; this class derives the other from it.
     """
 
     covariate_only: ClassVar[bool] = True
@@ -126,15 +105,14 @@ class CovariateRule(SelectionRule):
         """Decision from per-slot scalars; the last entry is the test slot."""
 
     def select_values_batch(self, values: np.ndarray) -> np.ndarray:
-        return np.array([self.select_values(row) for row in values], dtype=bool)
-
-    def trajectory_values(self, values: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.select_values(values[: i + 1]) for i in range(values.shape[0])], dtype=bool
-        )
+        """``select_values`` on every row of an (R, T) batch."""
+        return self.trajectory_values_batch(values)[:, -1]
 
     def trajectory_values_batch(self, values: np.ndarray) -> np.ndarray:
-        return np.stack([self.trajectory_values(row) for row in values])
+        """(R, T) decisions; column j decides on the first j + 1 slots of each row."""
+        return np.stack(
+            [self.select_values_batch(values[:, : j + 1]) for j in range(values.shape[1])], axis=1
+        )
 
     def select(self, seq: OrderedSequence) -> bool:
         stacked = np.concatenate([seq.prefix_x, seq.final_x.reshape(1, -1)], axis=0)
@@ -144,8 +122,6 @@ class CovariateRule(SelectionRule):
 @dataclass(frozen=True)
 class AlwaysSelectRule(CovariateRule):
     """Select every point (no selection effect)."""
-
-    cutoff_binary: ClassVar[bool] = True
 
     def point_values(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(X.shape[0])
@@ -159,8 +135,6 @@ class AlwaysSelectRule(CovariateRule):
 
 @dataclass(frozen=True)
 class NeverSelectRule(CovariateRule):
-    cutoff_binary: ClassVar[bool] = True
-
     def point_values(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(X.shape[0])
 
@@ -187,19 +161,12 @@ class DecisionDrivenRule(CovariateRule):
     def point_values(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.mu(X), dtype=float)
 
-    def _traj(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(values.shape[0], dtype=bool)
-        picked = 0
-        for j, v in enumerate(values.tolist()):
-            out[j] = v >= self.tau1 + picked / self.tau0
-            picked += out[j]
-        return out
-
     def select_values(self, values: np.ndarray) -> bool:
-        return bool(self._traj(values)[-1])
-
-    def trajectory_values(self, values: np.ndarray) -> np.ndarray:
-        return self._traj(values)
+        picked = 0
+        for v in values.tolist():
+            selected = v >= self.tau1 + picked / self.tau0
+            picked += selected
+        return selected
 
     def trajectory_values_batch(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros(values.shape, dtype=bool)
@@ -208,9 +175,6 @@ class DecisionDrivenRule(CovariateRule):
             out[:, j] = values[:, j] >= self.tau1 + picked / self.tau0
             picked += out[:, j]
         return out
-
-    def select_values_batch(self, values: np.ndarray) -> np.ndarray:
-        return self.trajectory_values_batch(values)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -311,6 +275,21 @@ class UncertaintyBudgetRule(CovariateRule):
         budget = self.gamma * past.shape[0]
         return v_t >= self._threshold(past, budget)
 
+    def select_values_batch(self, values: np.ndarray) -> np.ndarray:
+        # With k = floor(budget), a past value d is an admissible threshold
+        # iff it exceeds the (k+1)-th largest past value (any d when k covers
+        # the whole past), and v_t clears the smallest admissible d iff some
+        # admissible d lies at or below v_t.
+        past, v_t = values[:, :-1], values[:, -1:]
+        n_past = past.shape[1]
+        if n_past == 0:
+            return np.zeros(values.shape[0], dtype=bool)
+        k = math.floor(self.gamma * n_past)
+        if k >= n_past:
+            return v_t[:, 0] >= past.min(axis=1)
+        kth_largest = np.sort(past, axis=1)[:, n_past - 1 - k : n_past - k]
+        return np.any((past > kth_largest) & (past <= v_t), axis=1)
+
 
 # ---------------------------------------------------------------------------
 # cutoff-based (conformal testing) rules
@@ -355,17 +334,6 @@ def weighted_pvalue_history(
     return out
 
 
-def weighted_conformal_pvalue(
-    fhat: np.ndarray, indicators: np.ndarray, weights: np.ndarray
-) -> float:
-    """The current-step weighted clipped conformal p-value.
-
-    Convenience form of ``weighted_pvalue_history`` returning only the
-    final entry: (w_t + sum_{i<t} w_i ind_i 1{fhat_i >= fhat_t}) / sum w.
-    """
-    return float(weighted_pvalue_history(fhat, indicators, weights)[-1])
-
-
 def _sequence_fhat_indicators(
     seq: OrderedSequence, f_score
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -388,8 +356,6 @@ class ConformalPValueRule(SelectionRule):
     engine: ThresholdEngine
     decay: float | None = None
     weight_fn: Callable[[int, int], float] | None = None
-
-    cutoff_binary: ClassVar[bool] = True
 
     def weights(self, n: int) -> np.ndarray:
         return recency_weights(n, self.decay, self.weight_fn)
@@ -425,8 +391,6 @@ class ELondRule(SelectionRule):
     alpha: float
     gamma: Callable[[int], float] = default_gamma
     randomize_u: tuple[float, ...] | None = None
-
-    cutoff_binary: ClassVar[bool] = True
 
     def _streams(self, seq: OrderedSequence) -> tuple[np.ndarray, np.ndarray]:
         if seq.n_offline < 1:

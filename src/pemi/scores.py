@@ -15,14 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
     "ConformityScore",
     "LastPointScore",
     "AbsoluteResidualScore",
     "QuantileIntervalScore",
-    "as_model",
     "LinearModel",
     "fit_linear_model",
 ]
@@ -31,14 +28,6 @@ Intervals = tuple[tuple[float, float], ...]
 
 # A model maps an (n, d) covariate matrix to n real predictions.
 ModelFn = Callable[[np.ndarray], np.ndarray]
-
-
-def as_model(fn) -> ModelFn:
-    """Wrap a scalar-or-vector callable into the (n, d) -> (n,) convention."""
-    def model(X: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(np.asarray(X, dtype=float)), dtype=float)
-        return out.reshape(-1)
-    return model
 
 
 @dataclass(frozen=True)
@@ -154,9 +143,3 @@ def score_each_point(score: LastPointScore, X: np.ndarray, ys: np.ndarray) -> np
     if known.any():
         vals[known] = score.of_points(np.asarray(X)[known], np.asarray(ys)[known])
     return vals
-
-
-def require_last_point(score: ConformityScore) -> LastPointScore:
-    if not isinstance(score, LastPointScore):
-        raise DomainError("this operation needs a last-point score with an inverter")
-    return score

@@ -20,7 +20,6 @@ from .scores import Intervals, LastPointScore
 __all__ = [
     "PredictionSet",
     "ThresholdSet",
-    "EverythingSet",
     "CutoffPiecewiseSet",
     "IntervalUnionSet",
     "FiniteLabelSet",
@@ -69,20 +68,6 @@ class ThresholdSet:
 
     def measure(self, score: LastPointScore, x: np.ndarray) -> float:
         return total_length(self.intervals(score, x))
-
-
-@dataclass(frozen=True)
-class EverythingSet:
-    """The full label space (the vacuous set)."""
-
-    def contains(self, y: float, score: LastPointScore, x: np.ndarray) -> bool:
-        return True
-
-    def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals:
-        return ((-math.inf, math.inf),)
-
-    def measure(self, score: LastPointScore, x: np.ndarray) -> float:
-        return math.inf
 
 
 @dataclass(frozen=True)

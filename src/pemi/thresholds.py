@@ -7,10 +7,10 @@ p-value-thresholding selection rules need.  State is always rebuilt from
 the supplied history, never mutated in place, so engines can be replayed
 on permuted histories.
 
-``lond_threshold`` and ``default_gamma`` are the building blocks of the
-discovery-count procedures; SAFFRON and ADDIS are provided as plug-ins
-following their published wealth recursions and are exercised only
-through this interface.
+Two engines are provided: a fixed level and the discovery-count (LOND)
+procedure, whose per-step level is ``lond_threshold`` with the summable
+``default_gamma`` weights.  Each engine has a scalar ``alphas`` and a
+row-batched ``alphas_batch``; the closed forms call the batched one.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "ThresholdEngine",
     "FixedThreshold",
     "LondEngine",
-    "SaffronEngine",
-    "AddisEngine",
     "lond_rejections",
 ]
 
@@ -73,9 +71,9 @@ class ThresholdEngine(abc.ABC):
         hist = np.concatenate([np.asarray(past_pvals, dtype=float), [1.0]])
         return float(self.alphas(hist)[-1])
 
+    @abc.abstractmethod
     def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
-        """Row-wise ``alphas``; override when a vectorized form exists."""
-        return np.stack([self.alphas(row) for row in np.asarray(pvals, dtype=float)])
+        """``alphas`` on every row of an (R, T) batch."""
 
 
 @dataclass(frozen=True)
@@ -137,105 +135,4 @@ class LondEngine(ThresholdEngine):
         for j in range(p.shape[1]):
             out[:, j] = self.alpha * g[j] * (d + 1)
             d += p[:, j] <= out[:, j]
-        return out
-
-
-@dataclass(frozen=True)
-class SaffronEngine(ThresholdEngine):
-    """Adaptive alpha-investing with candidate screening at level lam.
-
-    Wealth recursion (constant lam): a step is a candidate when
-    ``p_j <= lam``; with tau_k the k-th rejection time and C_{k+} the
-    candidate count since it,
-
-        alpha_t = min(lam, W0 * g[t - C_{0+}]
-                          + ((1-lam)*alpha - W0) * g[t - tau_1 - C_{1+}]
-                          + (1-lam)*alpha * sum_{k>=2} g[t - tau_k - C_{k+}])
-    """
-
-    alpha: float
-    lam: float = 0.5
-    w0: float | None = None
-    gamma: Callable[[int], float] = default_gamma
-
-    def _w0(self) -> float:
-        w0 = self.w0 if self.w0 is not None else (1 - self.lam) * self.alpha / 2
-        if not 0 < w0 <= (1 - self.lam) * self.alpha:
-            raise ConfigurationError("initial wealth must lie in (0, (1-lam)*alpha]")
-        return w0
-
-    def alphas(self, pvals: np.ndarray) -> np.ndarray:
-        p = np.asarray(pvals, dtype=float)
-        T = p.shape[0]
-        g = _gamma_array(self.gamma, T + 1)
-
-        def g_at(k: int) -> float:
-            return g[k - 1] if k >= 1 else g[0]
-
-        w0 = self._w0()
-        earn = (1 - self.lam) * self.alpha
-        out = np.empty(T)
-        cand: list[int] = []  # candidate steps so far
-        rej_times: list[int] = []
-        for t in range(1, T + 1):
-            c0 = len(cand)
-            val = w0 * g_at(t - c0)
-            for k, tau in enumerate(rej_times, start=1):
-                ck = sum(1 for c in cand if c > tau)
-                coef = earn - w0 if k == 1 else earn
-                val += coef * g_at(t - tau - ck)
-            out[t - 1] = min(self.lam, val)
-            if p[t - 1] <= self.lam:
-                cand.append(t)
-            if p[t - 1] <= out[t - 1]:
-                rej_times.append(t)
-        return out
-
-
-@dataclass(frozen=True)
-class AddisEngine(ThresholdEngine):
-    """SAFFRON-style investing with discarding of clearly-null steps.
-
-    Steps with ``p_j > tau_discard`` are discarded; among the rest,
-    candidates have ``p_j <= lam * tau_discard``.  Time is counted in
-    non-discarded steps and wealth is earned at (1 - lam) * tau * alpha.
-    """
-
-    alpha: float
-    lam: float = 0.25
-    tau_discard: float = 0.5
-    w0: float | None = None
-    gamma: Callable[[int], float] = default_gamma
-
-    def alphas(self, pvals: np.ndarray) -> np.ndarray:
-        p = np.asarray(pvals, dtype=float)
-        T = p.shape[0]
-        g = _gamma_array(self.gamma, T + 1)
-
-        def g_at(k: int) -> float:
-            return g[k - 1] if k >= 1 else g[0]
-
-        earn = (1 - self.lam) * self.tau_discard * self.alpha
-        w0 = self.w0 if self.w0 is not None else earn / 2
-        if not 0 < w0 <= earn:
-            raise ConfigurationError("initial wealth must lie in (0, (1-lam)*tau*alpha]")
-        out = np.empty(T)
-        kept = 0  # non-discarded steps so far
-        cand: list[int] = []  # kept-time of candidate steps
-        rej_kept: list[int] = []  # kept-time of rejections
-        for t in range(1, T + 1):
-            s = kept + 1  # kept-time this step would have
-            c0 = len(cand)
-            val = w0 * g_at(s - c0)
-            for k, kappa in enumerate(rej_kept, start=1):
-                ck = sum(1 for c in cand if c > kappa)
-                coef = earn - w0 if k == 1 else earn
-                val += coef * g_at(s - kappa - ck)
-            out[t - 1] = min(self.lam * self.tau_discard, val)
-            if p[t - 1] <= self.tau_discard:
-                kept += 1
-                if p[t - 1] <= self.lam * self.tau_discard:
-                    cand.append(kept)
-                if p[t - 1] <= out[t - 1]:
-                    rej_kept.append(kept)
         return out

@@ -1,4 +1,4 @@
-"""Core data model: labeled points, online sequences, and permutations.
+"""Core data model: online sequences and permutation samples.
 
 Conventions used throughout the package:
 
@@ -9,8 +9,8 @@ Conventions used throughout the package:
 * Internally all points live in one array in *slot order*:
   ``[offline..., online..., test]``.  Slots are 0-based; the test point
   always occupies the last slot.  The classic 1-based time indices
-  (offline points carry indices ``-n_off+1 .. 0``) are exposed through
-  ``index_range`` for reporting only.
+  (offline points carry indices ``-n_off+1 .. 0``) are recorded as a
+  sample's ``index_start`` for reporting only.
 * A permutation is stored as ``order`` with ``order[s] = p`` meaning the
   point originally in slot ``p`` now occupies slot ``s``.
 """
@@ -18,35 +18,16 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "LabeledPoint",
     "DataSequence",
     "OrderedSequence",
-    "Permutation",
     "PermutationSample",
     "MultiTestData",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A single observation: covariates, label, optional selection cutoff."""
-
-    x: np.ndarray
-    y: float
-    cutoff: float | None = None
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float).reshape(-1)
-        object.__setattr__(self, "x", x)
-        if not np.isfinite(self.y):
-            raise DomainError(f"label must be finite, got {self.y!r}")
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -113,30 +94,13 @@ class DataSequence:
             if self.offline_y is None or oc.shape[0] != self.offline_y.shape[0]:
                 raise DomainError("offline cutoffs length mismatch")
             object.__setattr__(self, "offline_cutoffs", oc)
-
-    @classmethod
-    def from_points(
-        cls,
-        labeled: Sequence[LabeledPoint],
-        test_x,
-        test_cutoff: float | None = None,
-        offline: Sequence[LabeledPoint] | None = None,
-    ) -> "DataSequence":
-        test_x = np.asarray(test_x, dtype=float).reshape(-1)
-        d = test_x.shape[0]
-        xs = np.array([p.x for p in labeled], dtype=float).reshape(len(labeled), d)
-        ys = np.array([p.y for p in labeled], dtype=float)
-        have_cut = any(p.cutoff is not None for p in labeled) or test_cutoff is not None
-        cut = np.array([np.nan if p.cutoff is None else p.cutoff for p in labeled]) if have_cut else None
-        kw = {}
-        if offline:
-            kw["offline_x"] = np.array([p.x for p in offline], dtype=float).reshape(len(offline), d)
-            kw["offline_y"] = np.array([p.y for p in offline], dtype=float)
-            if have_cut:
-                kw["offline_cutoffs"] = np.array(
-                    [np.nan if p.cutoff is None else p.cutoff for p in offline]
-                )
-        return cls(xs, ys, test_x, cutoffs=cut, test_cutoff=test_cutoff, **kw)
+        # The engine reads the slot-order arrays once per permutation: build them once, read-only.
+        off_x, off_y = ([self.offline_x], [self.offline_y]) if self.n_offline else ([], [])
+        full_x = np.concatenate(off_x + [x, test_x.reshape(1, -1)], axis=0)
+        full_y = np.concatenate(off_y + [y, [np.nan]])
+        for name, arr in (("_full_x", full_x), ("_full_y", full_y)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     # -- geometry -----------------------------------------------------
 
@@ -153,27 +117,13 @@ class DataSequence:
     def n_slots(self) -> int:
         return self.n_offline + self.t
 
-    @property
-    def index_range(self) -> range:
-        """Classic indices: offline -n_off+1..0, online 1..t."""
-        return range(-self.n_offline + 1, self.t + 1)
-
     def full_x(self) -> np.ndarray:
-        parts = []
-        if self.n_offline:
-            parts.append(self.offline_x)
-        parts.append(self.x)
-        parts.append(self.test_x.reshape(1, -1))
-        return np.concatenate(parts, axis=0)
+        """Covariates in slot order (read-only)."""
+        return self._full_x
 
     def full_y(self) -> np.ndarray:
-        """Labels in slot order; the unknown test label is NaN."""
-        parts = []
-        if self.n_offline:
-            parts.append(self.offline_y)
-        parts.append(self.y)
-        parts.append(np.array([np.nan]))
-        return np.concatenate(parts)
+        """Labels in slot order; the unknown test label is NaN (read-only)."""
+        return self._full_y
 
     def full_cutoffs(self) -> np.ndarray | None:
         if self.cutoffs is None:
@@ -231,58 +181,6 @@ class OrderedSequence:
         )
 
 
-def _check_order(order: tuple[int, ...]) -> None:
-    if sorted(order) != list(range(len(order))):
-        raise DomainError(f"not a permutation of 0..{len(order) - 1}: {order!r}")
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on the slots of a sequence.
-
-    ``order[s]`` is the original slot whose point occupies slot ``s`` after
-    permuting.  ``index_start`` records the classic index of slot 0 so the
-    mapping can be reported in time-index coordinates.
-    """
-
-    order: tuple[int, ...]
-    index_start: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(int(v) for v in self.order))
-        _check_order(self.order)
-
-    @classmethod
-    def identity(cls, n: int, index_start: int = 1) -> "Permutation":
-        if n < 1:
-            raise DomainError("permutation domain must be non-empty")
-        return cls(tuple(range(n)), index_start)
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def is_identity(self) -> bool:
-        return all(v == s for s, v in enumerate(self.order))
-
-    def as_mapping(self) -> dict[int, int]:
-        """{slot index -> original index} in classic coordinates."""
-        s0 = self.index_start
-        return {s0 + s: s0 + p for s, p in enumerate(self.order)}
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for s, p in enumerate(self.order):
-            inv[p] = s
-        return Permutation(tuple(inv), self.index_start)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: slot s gets other.order[self.order[s]]."""
-        if self.n != other.n:
-            raise DomainError("cannot compose permutations of different sizes")
-        return Permutation(tuple(other.order[p] for p in self.order), self.index_start)
-
-
 @dataclass(frozen=True)
 class PermutationSample:
     """A Monte-Carlo batch of permutations of one slot range.
@@ -313,10 +211,6 @@ class PermutationSample:
 
     def __len__(self) -> int:
         return self.m
-
-    def __iter__(self) -> Iterator[Permutation]:
-        for row in self.matrix:
-            yield Permutation(tuple(int(v) for v in row), self.index_start)
 
 
 @dataclass(frozen=True)

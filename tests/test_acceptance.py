@@ -25,8 +25,9 @@ from pemi.generators import GeneratorConfig, TrueMeanModel, generate
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import sample_permutations
 from pemi.quantiles import augmented_quantile, weighted_quantile
-from pemi.rules import AlwaysSelectRule, lond_threshold, weighted_pvalue_history
+from pemi.rules import AlwaysSelectRule, weighted_pvalue_history
 from pemi.scores import AbsoluteResidualScore
+from pemi.thresholds import lond_threshold
 from pemi.types import DataSequence, MultiTestData
 
 

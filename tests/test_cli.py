@@ -83,3 +83,37 @@ def test_oracle_check_subcommand(capsys):
     assert rc == 0
     output = capsys.readouterr().out
     assert "all consistent" in output
+
+
+@pytest.mark.parametrize("bad_row", ["0.5,nan", "nan,0.5", "0.5,inf"])
+def test_non_finite_dataset_cell_is_a_data_error(tmp_path, capsys, bad_row):
+    rows = [f"{v},{v + 0.1}" for v in range(6)]
+    rows[3] = bad_row
+    data = tmp_path / "stream.csv"
+    data.write_text("mu_hat,y\n" + "\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        CONFIG.replace("generator: {setting: nonlinear_1d, sigma: 1.0}", f"dataset: {data}")
+        .replace("{name: true_mean}", "{name: column}")
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "stream.csv:5:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "events.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "cutoff: {quantle: 0.7}",
+        "cutoff: {value: 1.0, quantile: 0.3}",
+        "cutoff: {quantile: 0.3, sampel_n: 10}",
+        "score: {name: abs_residual, model: {name: true_mean}, scale: 2}",
+    ],
+)
+def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.yaml"
+    key = entry.split(":")[0]
+    lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key}:")]
+    cfg.write_text("\n".join(lines + [entry]) + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -25,7 +25,6 @@ from pemi.rules import (
     NeverSelectRule,
     SelectionTaxonomy,
     WeightedPredictionRule,
-    evaluate_trajectory,
 )
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence, MultiTestData
@@ -192,7 +191,7 @@ def test_taxonomy_excluding_everything_gives_identity_only(rng, residual_score):
 def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
     data = make_sequence(rng, t=5)
     rule = DecisionDrivenRule(tau0=3.0, tau1=0.0, mu=MU)
-    obs = evaluate_trajectory(rule, identity_sequence(data, 0.0))
+    obs = rule.trajectory(identity_sequence(data, 0.0))
     perms = sample_permutations(5, 40, seed=21)
     tax = SelectionTaxonomy.singleton(obs)
     p_tax = pemi_pvalue(0.3, data, rule, residual_score, perms, tax)

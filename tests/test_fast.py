@@ -7,6 +7,7 @@ from pemi import fast
 from pemi.crosscheck import check_instance, draw_instance
 from pemi.engine import pemi_pvalue, pemi_set_grid, reference_mask
 from pemi.errors import ConfigurationError, PreconditionError
+from pemi.oracle import all_orders_sample, full_pemi_set_grid
 from pemi.permutations import identity_sequence, sample_permutations
 from pemi.quantiles import kth_smallest_or_inf
 from pemi.rules import (
@@ -15,6 +16,7 @@ from pemi.rules import (
     DecisionDrivenRule,
     EarlierOutcomeRule,
     NeverSelectRule,
+    UncertaintyBudgetRule,
     WeightedPredictionRule,
     weighted_pvalue_history,
 )
@@ -71,6 +73,32 @@ def test_covariate_reference_is_label_free(rng, residual_score):
     masks = [reference_mask(float(y), data, rule, perms) for y in rng.normal(size=10)]
     for m in masks[1:]:
         assert np.array_equal(m, masks[0])
+
+
+def test_uncertainty_budget_set_matches_engine_and_enumeration(rng, residual_score):
+    models = (LinearModel(0.0, (1.0, 0.0)), LinearModel(0.0, (0.0, 1.0)))
+    grid = np.linspace(-4, 4, 31)
+    checked = 0
+    for trial in range(200):
+        t = int(rng.integers(2, 6))
+        X = rng.normal(size=(t, 2))
+        if trial % 2:
+            X = np.round(X)  # tied disagreement values
+        data = DataSequence(x=X[:-1], y=rng.normal(size=t - 1), test_x=X[-1])
+        rule = UncertaintyBudgetRule(models=models, gamma=float(rng.uniform(0.2, 1.0)))
+        if not rule.select(identity_sequence(data, 0.0)):
+            continue
+        perms = sample_permutations(t, 20, seed=trial)
+        dset = fast.covariate_set(data, rule, residual_score, perms, 0.4)
+        generic = pemi_set_grid(grid, data, rule, residual_score, perms, 0.4)
+        assert np.array_equal(generic, [dset.contains(float(y), residual_score, data.test_x) for y in grid])
+        full = fast.covariate_set(data, rule, residual_score, all_orders_sample(t, skip_identity=True), 0.4)
+        enumerated = full_pemi_set_grid(grid, data, rule, residual_score, 0.4)
+        assert np.array_equal(enumerated, [full.contains(float(y), residual_score, data.test_x) for y in grid])
+        checked += 1
+        if checked >= 10:
+            return
+    pytest.fail("not enough selected instances drawn")
 
 
 def test_randomized_u1_no_ties_equals_deterministic(rng, residual_score):
@@ -177,8 +205,6 @@ def test_earlier_outcome_t2_full_enumeration(rng, residual_score):
         rule = EarlierOutcomeRule(mu=MU, beta_sel=0.5)
         if not rule.select(identity_sequence(data, 0.0)):
             continue
-        from pemi.oracle import all_orders_sample
-
         perms = all_orders_sample(2, skip_identity=True)
         dset = fast.earlier_outcome_set(data, rule, residual_score, perms, alpha=0.4)
         assert isinstance(dset, IntervalUnionSet)
@@ -266,14 +292,14 @@ def test_elond_identity_in_both_side_references(rng):
 def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
     """The trajectory-pinned reference (FCR construction) must agree with
     the generic engine's taxonomy route on a label grid."""
-    from pemi.rules import SelectionTaxonomy, evaluate_trajectory
+    from pemi.rules import SelectionTaxonomy
 
     checked = 0
     for trial in range(60):
         data = make_sequence(rng, t=int(rng.integers(3, 7)))
         rule = DecisionDrivenRule(tau0=20.0, tau1=-0.5, mu=MU)
         seq = identity_sequence(data, 0.0)
-        traj = evaluate_trajectory(rule, seq)
+        traj = rule.trajectory(seq)
         if traj[-1] != 1:
             continue
         taxonomy = SelectionTaxonomy.singleton(traj)

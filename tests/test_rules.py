@@ -17,8 +17,6 @@ from pemi.rules import (
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
-    evaluate_rule,
-    evaluate_trajectory,
     recency_weights,
     weighted_pvalue_history,
 )
@@ -45,15 +43,15 @@ def seq_from_mu(past_mu, test_mu, ys=None):
 
 def test_decision_driven_first_step_example():
     rule = DecisionDrivenRule(tau0=200, tau1=5.5, mu=MU)
-    assert evaluate_rule(rule, seq_from_mu([], 6.0)) == 1
-    assert evaluate_rule(rule, seq_from_mu([], 5.4)) == 0
+    assert int(rule.select(seq_from_mu([], 6.0))) == 1
+    assert int(rule.select(seq_from_mu([], 5.4))) == 0
 
 
 def test_decision_driven_counts_past_selections():
     rule = DecisionDrivenRule(tau0=10, tau1=1.0, mu=MU)
     # past values 2, 2 both select, raising the bar to 1.2
-    assert evaluate_rule(rule, seq_from_mu([2.0, 2.0], 1.1)) == 0
-    assert evaluate_rule(rule, seq_from_mu([2.0, 2.0], 1.2)) == 1
+    assert int(rule.select(seq_from_mu([2.0, 2.0], 1.1))) == 0
+    assert int(rule.select(seq_from_mu([2.0, 2.0], 1.2))) == 1
 
 
 @given(st.lists(st.floats(-3, 3), min_size=0, max_size=12), st.floats(-3, 3))
@@ -69,22 +67,15 @@ def test_decision_driven_depends_only_on_count_and_test_value(past, test_mu):
 def test_trajectory_prefix_consistency(rng):
     rule = DecisionDrivenRule(tau0=5.0, tau1=0.0, mu=LinearModel(0.0, (1.0, 0.5)))
     seq = identity_sequence(make_sequence(rng, t=8), y=0.0)
-    traj = evaluate_trajectory(rule, seq)
+    traj = rule.trajectory(seq)
     for i in range(1, 9):
-        assert evaluate_trajectory(rule, seq.prefix(i)) == traj[:i]
+        assert rule.trajectory(seq.prefix(i)) == traj[:i]
 
 
 def test_always_and_never():
-    assert evaluate_rule(AlwaysSelectRule(), seq_from_mu([1.0], 0.0)) == 1
-    assert evaluate_rule(NeverSelectRule(), seq_from_mu([1.0], 0.0)) == 0
-    assert evaluate_trajectory(NeverSelectRule(), seq_from_mu([1.0, 2.0], 0.0)) == (0, 0, 0)
-
-
-def test_per_step_rule_list():
-    rules = [AlwaysSelectRule(), NeverSelectRule(), AlwaysSelectRule()]
-    assert evaluate_trajectory(rules, seq_from_mu([1.0, 2.0], 0.0)) == (1, 0, 1)
-    with pytest.raises(ConfigurationError):
-        evaluate_trajectory(rules[:2], seq_from_mu([1.0, 2.0], 0.0))
+    assert int(AlwaysSelectRule().select(seq_from_mu([1.0], 0.0))) == 1
+    assert int(NeverSelectRule().select(seq_from_mu([1.0], 0.0))) == 0
+    assert NeverSelectRule().trajectory(seq_from_mu([1.0, 2.0], 0.0)) == (0, 0, 0)
 
 
 # -- weighted prediction ------------------------------------------------------
@@ -92,8 +83,8 @@ def test_per_step_rule_list():
 
 def test_weighted_average_boundary_is_strict():
     rule = WeightedPredictionRule(mu=MU, mode="average")
-    assert evaluate_rule(rule, seq_from_mu([3.0, 3.0, 3.0], 3.0)) == 0
-    assert evaluate_rule(rule, seq_from_mu([3.0, 3.0, 3.0], 3.0001)) == 1
+    assert int(rule.select(seq_from_mu([3.0, 3.0, 3.0], 3.0))) == 0
+    assert int(rule.select(seq_from_mu([3.0, 3.0, 3.0], 3.0001))) == 1
 
 
 def test_weighted_quantile_matches_wq_primitive(rng):
@@ -103,13 +94,13 @@ def test_weighted_quantile_matches_wq_primitive(rng):
         test_mu = float(rng.normal())
         w = recency_weights(6, 0.5)
         expect = test_mu > weighted_quantile(0.75, past, w)
-        assert evaluate_rule(rule, seq_from_mu(past, test_mu)) == int(expect)
+        assert int(rule.select(seq_from_mu(past, test_mu))) == int(expect)
 
 
 def test_weighted_rules_never_select_first_step():
     for mode in ("quantile", "average"):
         rule = WeightedPredictionRule(mu=MU, mode=mode)
-        assert evaluate_rule(rule, seq_from_mu([], 100.0)) == 0
+        assert int(rule.select(seq_from_mu([], 100.0))) == 0
 
 
 # -- capability tags ----------------------------------------------------------
@@ -145,7 +136,6 @@ def test_cutoff_binary_rules_see_labels_only_through_sides(seed):
         f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c),
         engine=FixedThreshold(0.5),
     )
-    assert rule.cutoff_binary
     base = identity_sequence(seq_data, y=0.0)
     # move each label anywhere on the same side of its own cutoff
     side = base.prefix_y <= base.prefix_cutoffs
@@ -229,8 +219,8 @@ def test_uncertainty_budget_no_budget_early():
 def test_earlier_outcome_example():
     rule = EarlierOutcomeRule(mu=MU, beta_sel=0.1)
     ys = np.arange(1.0, 10.0)
-    assert evaluate_rule(rule, seq_from_mu(ys, 10.0, ys=ys)) == 1
-    assert evaluate_rule(rule, seq_from_mu(ys, 8.9, ys=ys)) == 0
+    assert int(rule.select(seq_from_mu(ys, 10.0, ys=ys))) == 1
+    assert int(rule.select(seq_from_mu(ys, 8.9, ys=ys))) == 0
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -243,7 +233,7 @@ def test_earlier_outcome_matches_weighted_quantile_form(seed):
         rule = EarlierOutcomeRule(mu=MU, beta_sel=0.3, decay=decay)
         w = recency_weights(n, decay)
         expect = mu_t >= weighted_quantile(0.7, ys, w)
-        got = evaluate_rule(rule, seq_from_mu(np.zeros(n), mu_t, ys=ys))
+        got = int(rule.select(seq_from_mu(np.zeros(n), mu_t, ys=ys)))
         assert got == int(expect)
 
 
@@ -296,16 +286,19 @@ def test_recency_weights():
 @given(st.integers(0, 2**32 - 1))
 def test_covariate_batch_matches_scalar(seed):
     rng = np.random.default_rng(seed)
-    t = int(rng.integers(2, 9))
-    vals = rng.normal(size=(5, t))
+    t = int(rng.integers(1, 9))
+    # real rows, then small-integer rows whose many ties stress the order statistics
+    vals = np.concatenate([rng.normal(size=(5, t)), rng.integers(0, 4, size=(5, t)).astype(float)])
+    models = (LinearModel(0.0, (1.0,)), LinearModel(0.0, (-1.0,)))
     for rule in (
         DecisionDrivenRule(tau0=9.0, tau1=0.1, mu=MU),
         WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.3, decay=0.5),
         WeightedPredictionRule(mu=MU, mode="average"),
+        UncertaintyBudgetRule(models=models, gamma=float(rng.uniform(0.05, 1.0))),
+        UncertaintyBudgetRule(models=models, gamma=1.0),
     ):
         batch = rule.select_values_batch(vals)
-        for r in range(5):
+        traj = rule.trajectory_values_batch(vals)
+        for r in range(vals.shape[0]):
             assert batch[r] == rule.select_values(vals[r])
-        tb = rule.trajectory_values_batch(vals)
-        for r in range(5):
-            assert np.array_equal(tb[r], rule.trajectory_values(vals[r]))
+            assert traj[r].tolist() == [rule.select_values(vals[r, : j + 1]) for j in range(t)]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pemi.scores import AbsoluteResidualScore, LinearModel, QuantileIntervalScore
 from pemi.sets import (
     CutoffPiecewiseSet,
-    EverythingSet,
     FiniteLabelSet,
     IntervalUnionSet,
     ThresholdSet,
@@ -51,12 +50,6 @@ def test_exclusive_threshold_boundary():
     assert s.contains(3.999, SCORE, X)
     assert not s.contains(4.0, SCORE, X)  # score exactly 1.5
     assert s.measure(SCORE, X) == pytest.approx(3.0)
-
-
-def test_everything_set():
-    s = EverythingSet()
-    assert s.contains(1e9, SCORE, X)
-    assert s.measure(SCORE, X) == math.inf
 
 
 def test_cutoff_piecewise_set():

@@ -5,10 +5,8 @@ import pytest
 
 from pemi.errors import ConfigurationError
 from pemi.thresholds import (
-    AddisEngine,
     FixedThreshold,
     LondEngine,
-    SaffronEngine,
     default_gamma,
     lond_rejections,
     lond_threshold,
@@ -53,15 +51,7 @@ def test_lond_rejections_matches_engine():
         assert np.allclose(batch[r], eng.alphas(rngp[r]))
 
 
-@pytest.mark.parametrize(
-    "engine",
-    [
-        FixedThreshold(0.3),
-        LondEngine(alpha=0.4),
-        SaffronEngine(alpha=0.4),
-        AddisEngine(alpha=0.4),
-    ],
-)
+@pytest.mark.parametrize("engine", [FixedThreshold(0.3), LondEngine(alpha=0.4)])
 def test_engines_read_only_the_past(engine):
     """alpha_j may depend on p_1..p_{j-1} only."""
     rng = np.random.default_rng(11)
@@ -73,26 +63,12 @@ def test_engines_read_only_the_past(engine):
         assert np.allclose(engine.alphas(q)[: j], base[: j])
 
 
-@pytest.mark.parametrize(
-    "engine", [FixedThreshold(0.3), LondEngine(alpha=0.4), SaffronEngine(alpha=0.4)]
-)
+@pytest.mark.parametrize("engine", [FixedThreshold(0.3), LondEngine(alpha=0.4)])
 def test_batch_matches_rowwise(engine):
     p = np.random.default_rng(3).uniform(size=(5, 7))
     batch = engine.alphas_batch(p)
     for r in range(5):
         assert np.allclose(batch[r], engine.alphas(p[r]))
-
-
-def test_saffron_capped_by_lambda_and_positive():
-    eng = SaffronEngine(alpha=0.4, lam=0.5)
-    a = eng.alphas(np.array([0.01, 0.2, 0.6, 0.01, 0.4]))
-    assert np.all(a <= 0.5) and np.all(a > 0)
-
-
-def test_addis_capped_and_positive():
-    eng = AddisEngine(alpha=0.4, lam=0.25, tau_discard=0.5)
-    a = eng.alphas(np.array([0.9, 0.01, 0.3, 0.7, 0.05]))
-    assert np.all(a <= 0.125) and np.all(a > 0)
 
 
 def test_next_alpha_consistent_with_alphas():
