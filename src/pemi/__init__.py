@@ -15,7 +15,7 @@ Layers:
 * :mod:`pemi.engine` — direct (per-label) inference for arbitrary rules,
   including offline blocks, trajectory taxonomies, multiple test points;
 * :mod:`pemi.fast` — closed-form prediction sets for the structured rule
-  families;
+  families and for label-free multi-test rules;
 * :mod:`pemi.oracle`, :mod:`pemi.crosscheck` — exhaustive-enumeration
   ground truth and the consistency battery;
 * :mod:`pemi.generators`, :mod:`pemi.experiment`, :mod:`pemi.cli` — the
@@ -26,7 +26,6 @@ from .engine import (
     SelectionPValue,
     multi_test_pvalue,
     multi_test_set_grid,
-    multi_test_threshold_set,
     pemi_pvalue,
     pemi_pvalue_randomized,
     pemi_set_finite,
@@ -41,6 +40,7 @@ from .errors import (
     PreconditionError,
     SchemaError,
 )
+from .fast import multi_test_threshold_set
 from .permutations import permute_with_imputation, sample_permutations
 from .quantiles import augmented_quantile, weighted_quantile
 from .types import DataSequence, MultiTestData, OrderedSequence, PermutationSample

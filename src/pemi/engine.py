@@ -16,12 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .permutations import permute_with_imputation
 from .quantiles import exceeds_level
 from .rules import SelectionRule, SelectionTaxonomy
 from .scores import ConformityScore, LastPointScore
-from .sets import FiniteLabelSet, ThresholdSet
+from .sets import FiniteLabelSet
 from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "TopPredictionRule",
     "multi_test_pvalue",
     "multi_test_set_grid",
-    "multi_test_threshold_set",
 ]
 
 
@@ -327,27 +326,3 @@ def multi_test_set_grid(
     return np.array(
         [multi_test_pvalue(float(y), data, j, rule, score, perms).exceeds(alpha) for y in g]
     )
-
-
-def multi_test_threshold_set(
-    data: MultiTestData,
-    j: int,
-    rule: MultiTestRule,
-    score: LastPointScore,
-    perms: PermutationSample,
-    alpha: float,
-) -> ThresholdSet:
-    """Single-threshold set for rules whose selection ignores labels."""
-    from .quantiles import coverage_rank, kth_smallest_or_inf
-
-    if not rule.covariate_only:
-        raise ConfigurationError("threshold form needs a label-free multi-test rule")
-    mask = _multi_test_mask(0.0, data, j, rule, perms.matrix)  # imputed label unused
-    moved = perms.matrix[:, -1] != data.n
-    sel_moved = mask & moved
-    scores_moved = score.of_points(
-        data.calib_x[perms.matrix[sel_moved][:, -1]], data.calib_y[perms.matrix[sel_moved][:, -1]]
-    ) if sel_moved.any() else np.empty(0)
-    ref_size = 1 + int(mask.sum())
-    k = coverage_rank(alpha, ref_size)
-    return ThresholdSet(kth_smallest_or_inf(k, scores_moved))

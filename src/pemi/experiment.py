@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -26,7 +28,7 @@ import numpy as np
 from . import fast
 from .datasets import StreamData, load_dataset
 from .errors import ConfigurationError, GuardError
-from .generators import GeneratorConfig, TrueMeanModel, generate
+from .generators import GeneratorConfig, TrueMeanModel, feature_dim, generate
 from .metrics import Event, FcrReport, MetricsRow, fcr_report, summarize
 from .oracle import all_orders_sample
 from .permutations import sample_permutations
@@ -63,6 +65,17 @@ OUT_DIR_ENV = "PEMI_OUT_DIR"
 
 METHODS = ("pemi_det", "pemi_rand", "vanilla", "oracle")
 
+# The type each config field must have; bool is an Integral, so it is rejected separately.
+_FIELD_TYPES = {
+    **dict.fromkeys(("T", "N", "M", "seed", "offline_n", "workers"), Integral),
+    "alpha": Real,
+    **dict.fromkeys(("rule", "score"), dict),
+    **dict.fromkeys(("generator", "cutoff"), (dict, type(None))),
+    **dict.fromkeys(("dataset", "out"), (str, type(None))),
+    "methods": (list, tuple),
+    "taxonomy_fcr": bool,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,6 +96,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigurationError(f"config key {name!r} has the wrong type: {value!r}")
         if self.T < 1 or self.N < 1:
             raise ConfigurationError("horizon and replication count must be >= 1")
         if not 0 < self.alpha < 1:
@@ -107,9 +124,6 @@ class ExperimentConfig:
         missing = {"T", "N", "alpha", "M", "seed", "rule", "score"} - set(raw)
         if missing:
             raise ConfigurationError(f"missing config keys: {sorted(missing)}")
-        raw = dict(raw)
-        if "methods" in raw:
-            raw["methods"] = tuple(raw["methods"])
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -151,25 +165,62 @@ def _no_options_left(spec: dict, what: str) -> None:
         raise ConfigurationError(f"unknown options for {what}: {sorted(spec)}")
 
 
+_REQUIRED = object()
+
+
+def _number(spec: dict, key: str, default: Any = _REQUIRED, kind: type = float):
+    """Pop option ``key`` from ``spec`` as a finite ``kind``.
+
+    A required option that is absent raises ``KeyError``; a ``None``
+    default leaves an absent or null option off.  A value that does not
+    convert, a bool, or a non-finite value is a ``ConfigurationError``
+    naming the option.
+    """
+    raw = spec.pop(key) if default is _REQUIRED else spec.pop(key, default)
+    if raw is None and default is None:
+        return None
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):  # int() of nan or inf included
+        value = None
+    if value is None or isinstance(raw, bool) or (kind is float and not math.isfinite(value)):
+        raise ConfigurationError(f"option {key!r} must be a finite number, got {raw!r}")
+    return value
+
+
+def _resolve_generator(spec: dict) -> GeneratorConfig:
+    spec = dict(spec)
+    setting = {"setting": spec.pop("setting")} if "setting" in spec else {}
+    # every other generator option is a number
+    numbers = {
+        f.name: _number(spec, f.name) for f in dataclasses.fields(GeneratorConfig) if f.name in spec
+    }
+    _no_options_left(spec, "generator")
+    return GeneratorConfig(**setting, **numbers)
+
+
 def _resolve_model(spec: dict | None, gen: GeneratorConfig | None, stream: StreamData | None):
+    if spec is not None and not isinstance(spec, dict):
+        raise ConfigurationError(f"a model spec must be a mapping, got {spec!r}")
     spec = dict(spec or {"name": "true_mean" if gen is not None else "column"})
-    name = spec.pop("name")
+    name = spec.pop("name", None)
     if name == "true_mean":
         if gen is None:
             raise ConfigurationError("true_mean model needs a generator run")
         _no_options_left(spec, "model 'true_mean'")
         return TrueMeanModel(gen)
     if name == "column":
-        idx = int(spec.pop("index", 0))
+        idx = _number(spec, "index", 0, kind=int)
         _no_options_left(spec, "model 'column'")
-        if stream is not None and idx >= stream.X.shape[1]:
-            raise ConfigurationError(f"model column {idx} outside the dataset's columns")
+        dim = stream.X.shape[1] if stream is not None else feature_dim(gen)
+        if not -dim <= idx < dim:
+            raise ConfigurationError(f"model column {idx} outside the {dim} feature columns")
         return ColumnModel(idx)
     if name == "linear_fit":
         if gen is None:
             raise ConfigurationError("linear_fit model needs a generator run")
-        train_n = int(spec.pop("train_n", 500))
-        train_seed = int(spec.pop("train_seed", 1))
+        train_n = _number(spec, "train_n", 500, kind=int)
+        train_seed = _number(spec, "train_seed", 1, kind=int)
         _no_options_left(spec, "model 'linear_fit'")
         rng = np.random.default_rng(np.random.SeedSequence((train_seed, 88261)))
         X, Y = generate(gen, train_n, rng)
@@ -199,7 +250,7 @@ def _resolve_rule(
         if name == "decision_driven":
             return done(
                 DecisionDrivenRule(
-                    tau0=float(spec.pop("tau0")), tau1=float(spec.pop("tau1")), mu=model()
+                    tau0=_number(spec, "tau0"), tau1=_number(spec, "tau1"), mu=model()
                 )
             )
         if name in ("weighted_quantile", "weighted_average"):
@@ -208,36 +259,41 @@ def _resolve_rule(
                 WeightedPredictionRule(
                     mu=model(),
                     mode=mode,
-                    q_sel=float(spec.pop("q_sel", 0.1)),
-                    decay=spec.pop("decay", None),
+                    q_sel=_number(spec, "q_sel", 0.1),
+                    decay=_number(spec, "decay", None),
                 )
             )
         if name == "uncertainty_budget":
-            models = tuple(_resolve_model(s, gen, stream) for s in spec.pop("models"))
-            return done(UncertaintyBudgetRule(models=models, gamma=float(spec.pop("gamma"))))
+            specs = spec.pop("models")
+            if not isinstance(specs, list):
+                raise ConfigurationError(f"option 'models' must be a list, got {specs!r}")
+            models = tuple(_resolve_model(s, gen, stream) for s in specs)
+            return done(UncertaintyBudgetRule(models=models, gamma=_number(spec, "gamma")))
         if name == "conformal_pvalue":
             if "q" in spec:
-                engine = FixedThreshold(float(spec.pop("q")))
+                engine = FixedThreshold(_number(spec, "q"))
             else:
-                engine = LondEngine(alpha=float(spec.pop("test_alpha", 0.1)))
+                engine = LondEngine(alpha=_number(spec, "test_alpha", 0.1))
             return done(
                 ConformalPValueRule(
                     f_score=CutoffScoreFromModel(model()),
                     engine=engine,
-                    decay=spec.pop("decay", None),
+                    decay=_number(spec, "decay", None),
                 )
             )
         if name == "elond":
             return done(
                 ELondRule(
                     f_score=CutoffScoreFromModel(model()),
-                    alpha=float(spec.pop("test_alpha", 0.1)),
+                    alpha=_number(spec, "test_alpha", 0.1),
                 )
             )
         if name == "earlier_outcome":
             return done(
                 EarlierOutcomeRule(
-                    mu=model(), beta_sel=float(spec.pop("beta_sel")), decay=spec.pop("decay", None)
+                    mu=model(),
+                    beta_sel=_number(spec, "beta_sel"),
+                    decay=_number(spec, "decay", None),
                 )
             )
     except KeyError as err:
@@ -262,16 +318,16 @@ def _resolve_cutoff(spec: dict | None, gen: GeneratorConfig | None) -> float | N
         return None
     spec = dict(spec)
     if "value" in spec:
-        value = float(spec.pop("value"))
+        value = _number(spec, "value")
         _no_options_left(spec, "cutoff 'value'")
         return value
     if "quantile" not in spec:
         raise ConfigurationError("cutoff needs a 'value' or a 'quantile'")
     if gen is None:
         raise ConfigurationError("cutoff quantile needs a generator run (datasets carry a c column)")
-    q = float(spec.pop("quantile"))
-    sample_n = int(spec.pop("sample_n", 2000))
-    seed = int(spec.pop("seed", 7))
+    q = _number(spec, "quantile")
+    sample_n = _number(spec, "sample_n", 2000, kind=int)
+    seed = _number(spec, "seed", 7, kind=int)
     _no_options_left(spec, "cutoff 'quantile'")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 55117)))
     _, Y = generate(gen, sample_n, rng)
@@ -293,7 +349,7 @@ class ResolvedExperiment:
 
 
 def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
-    gen = GeneratorConfig(**config.generator) if config.generator is not None else None
+    gen = _resolve_generator(config.generator) if config.generator is not None else None
     stream = load_dataset(config.dataset) if config.dataset is not None else None
     rule = _resolve_rule(config.rule, gen, stream)
     score = _resolve_score(config.score, gen, stream)

@@ -8,12 +8,18 @@ Three structures make this possible:
   test cutoff, giving one threshold per side;
 * earlier-outcome rules — the label line splits at the sorted past
   predictions into intervals on which the reference set is constant,
-  plus the boundary points themselves.
+  plus the boundary points themselves;
+* label-free multi-test rules — one reference for the selected test
+  index, so again a single threshold.
 
-Each path is verified against the generic engine by the test suite; the
-arithmetic below deliberately routes through the same kernels the rules
-use so both routes see identical floating-point values.  ``_closed_form``
-is the one place that picks the construction for a rule.
+Every construction builds a selection-preserving reference mask and then
+takes one calibration step, ``_calibration``: the rank-
+``ceil((1-alpha)*ref_size)`` score among the members that moved a labeled
+point into the test slot (``CalibrationDetail.threshold``).  Each path is
+verified against the generic engine by the test suite; the arithmetic
+below deliberately routes through the same kernels the rules use so both
+routes see identical floating-point values.  ``_closed_form`` is the one
+place that picks the construction for a rule.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import pemi_pvalue, pemi_pvalue_randomized
+from .engine import MultiTestRule, _check_domain, _multi_test_mask, pemi_pvalue
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
@@ -38,16 +44,15 @@ from .rules import (
 )
 from .scores import LastPointScore, score_each_point
 from .sets import CutoffPiecewiseSet, IntervalUnionSet, ThresholdSet
-from .types import DataSequence, PermutationSample
+from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
-    "CalibrationDetail",
-    "covariate_calibration",
     "covariate_set",
     "covariate_set_randomized",
     "conformal_pvalue_set",
     "elond_set",
     "earlier_outcome_set",
+    "multi_test_threshold_set",
 ]
 
 
@@ -60,9 +65,27 @@ class CalibrationDetail:
     ref_size: int
     moved_scores: np.ndarray
 
-    @property
-    def moved_count(self) -> int:
-        return int(self.moved_scores.shape[0])
+    def threshold(self, alpha: float, u: float | None = None) -> ThresholdSet:
+        """The score sublevel set calibrated on this reference: the
+        rank-``ceil((1-alpha)*ref_size)`` moved-in score (+inf past the end),
+        or with a tie-break uniform ``u`` the inverted tie-randomized p-value."""
+        if u is None:
+            k = coverage_rank(alpha, self.ref_size)
+            return ThresholdSet(kth_smallest_or_inf(k, self.moved_scores))
+        if not 0 <= u <= 1:
+            raise DomainError(f"tie-break uniform must be in [0,1], got {u}")
+        q, inclusive = _randomized_threshold(self.moved_scores, self.ref_size, alpha, u)
+        return ThresholdSet(q, inclusive=inclusive)
+
+
+def _calibration(
+    point_scores: np.ndarray, perms: PermutationSample, sel: np.ndarray
+) -> CalibrationDetail:
+    """The reference of the sampled rows ``sel`` plus the identity; the test
+    point sits in the last slot, so rows keeping it there add no score."""
+    last = perms.matrix[:, -1]
+    moved = sel & (last != perms.n_points - 1)
+    return CalibrationDetail(ref_size=1 + int(sel.sum()), moved_scores=point_scores[last[moved]])
 
 
 def _closed_form(
@@ -97,21 +120,21 @@ def _taxonomy_mask(traj: np.ndarray, taxonomy: SelectionTaxonomy) -> np.ndarray:
     if taxonomy.trajectories is not None and len(taxonomy.trajectories) == 1:
         (target,) = taxonomy.trajectories
         return traj[:, -1] & np.all(traj == np.asarray(target, dtype=bool), axis=1)
-    keep = np.array([taxonomy.contains(tuple(int(v) for v in row)) for row in traj])
+    keep = np.array([taxonomy.contains(tuple(int(v) for v in row)) for row in traj], dtype=bool)
     return traj[:, -1] & keep
 
 
 def _covariate_reference(
     data: DataSequence,
     rule: CovariateRule,
+    score: LastPointScore,
     perms: PermutationSample,
     taxonomy: SelectionTaxonomy | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(selected mask, per-point rule values); precondition S_t = 1."""
+) -> CalibrationDetail:
+    """The label-free reference behind the single-threshold sets; precondition S_t = 1."""
     if not rule.covariate_only:
         raise ConfigurationError("single-threshold calibration needs a label-free rule")
-    if perms.n_points != data.n_slots:
-        raise DomainError("permutation domain does not match the sequence")
+    _check_domain(data, perms)
     if taxonomy is not None and data.n_offline:
         # trajectories are indexed by online steps; the batched replay below
         # walks raw slots, so the two only coincide without an offline block
@@ -120,36 +143,11 @@ def _covariate_reference(
     if not rule.select_values(values):
         raise PreconditionError("the observed point was not selected")
     permuted = values[perms.matrix]
-    if perms.m == 0:
-        return np.zeros(0, dtype=bool), values
     if taxonomy is None:
         sel = rule.select_values_batch(permuted)
     else:
         sel = _taxonomy_mask(rule.trajectory_values_batch(permuted), taxonomy)
-    return sel, values
-
-
-def _moved_scores(
-    data: DataSequence, score: LastPointScore, perms: PermutationSample, sel: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    test_slot = data.n_slots - 1
-    last = perms.matrix[:, -1] if perms.m else np.empty(0, dtype=np.int64)
-    moved = sel & (last != test_slot)
-    point_scores = score_each_point(score, data.full_x(), data.full_y())
-    return moved, point_scores[last[moved]]
-
-
-def covariate_calibration(
-    data: DataSequence,
-    rule: CovariateRule,
-    score: LastPointScore,
-    perms: PermutationSample,
-    taxonomy: SelectionTaxonomy | None = None,
-) -> CalibrationDetail:
-    """The label-free reference behind the single-threshold sets."""
-    sel, _ = _covariate_reference(data, rule, perms, taxonomy)
-    _, scores_moved = _moved_scores(data, score, perms, sel)
-    return CalibrationDetail(ref_size=1 + int(sel.sum()), moved_scores=scores_moved)
+    return _calibration(score_each_point(score, data.full_x(), data.full_y()), perms, sel)
 
 
 def covariate_set(
@@ -167,9 +165,7 @@ def covariate_set(
     labeled point into the final slot; past the end it is +inf (the whole
     label space — exactly the vacuous sets reported for tiny references).
     """
-    cal = covariate_calibration(data, rule, score, perms, taxonomy)
-    k = coverage_rank(alpha, cal.ref_size)
-    return ThresholdSet(kth_smallest_or_inf(k, cal.moved_scores))
+    return _covariate_reference(data, rule, score, perms, taxonomy).threshold(alpha)
 
 
 def covariate_set_randomized(
@@ -192,11 +188,7 @@ def covariate_set_randomized(
     sublevel set; the boundary score itself may be excluded, in which
     case the open form is returned.
     """
-    if not 0 <= u <= 1:
-        raise DomainError(f"tie-break uniform must be in [0,1], got {u}")
-    cal = covariate_calibration(data, rule, score, perms, taxonomy)
-    q, inclusive = _randomized_threshold(cal.moved_scores, cal.ref_size, alpha, u)
-    return ThresholdSet(q, inclusive=inclusive)
+    return _covariate_reference(data, rule, score, perms, taxonomy).threshold(alpha, u)
 
 
 def _randomized_threshold(
@@ -224,22 +216,6 @@ def _randomized_threshold(
     return -math.inf, False
 
 
-def _two_sided_thresholds(
-    data: DataSequence,
-    score: LastPointScore,
-    perms: PermutationSample,
-    sel_by_side: dict[int, np.ndarray],
-    alpha: float,
-) -> CutoffPiecewiseSet:
-    qs = {}
-    for k, sel in sel_by_side.items():
-        moved, scores_moved = _moved_scores(data, score, perms, sel)
-        ref_size = 1 + int(sel.sum())
-        rank = coverage_rank(alpha, ref_size)
-        qs[k] = kth_smallest_or_inf(rank, scores_moved)
-    return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=qs[0], q_below=qs[1])
-
-
 def conformal_pvalue_set(
     data: DataSequence,
     rule: ConformalPValueRule,
@@ -258,8 +234,7 @@ def conformal_pvalue_set(
         raise ConfigurationError("p-value selection needs per-point cutoffs")
     if data.n_offline:
         raise ConfigurationError("p-value thresholding runs on online slots only")
-    if perms.n_points != data.n_slots:
-        raise DomainError("permutation domain does not match the sequence")
+    _check_domain(data, perms)
     t = data.t
     full_c = data.full_cutoffs()
     fhat = np.asarray(rule.f_score(data.full_x(), full_c), dtype=float)
@@ -272,19 +247,18 @@ def conformal_pvalue_set(
     if not p_obs[-1] <= rule.engine.alphas(p_obs)[-1]:
         raise PreconditionError("the observed point was not selected")
 
-    sel_by_side: dict[int, np.ndarray] = {}
+    point_scores = score_each_point(score, data.full_x(), data.full_y())
+    q = {}
     for k in (0, 1):
-        if perms.m == 0:
-            sel_by_side[k] = np.zeros(0, dtype=bool)
-            continue
         ind = ind_true.copy()
         ind[t - 1] = k
         fp = fhat[perms.matrix]
         ip = ind[perms.matrix]
         pvals = weighted_pvalue_history(fp, ip, weights)
         alphas = rule.engine.alphas_batch(pvals)
-        sel_by_side[k] = pvals[:, -1] <= alphas[:, -1]
-    return _two_sided_thresholds(data, score, perms, sel_by_side, alpha)
+        sel = pvals[:, -1] <= alphas[:, -1]
+        q[k] = _calibration(point_scores, perms, sel).threshold(alpha).threshold
+    return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
 
 
 def elond_set(
@@ -306,8 +280,7 @@ def elond_set(
         raise ConfigurationError("e-value selection needs a non-empty offline block")
     if data.cutoffs is None or data.test_cutoff is None or data.offline_cutoffs is None:
         raise ConfigurationError("e-value selection needs cutoffs on every point")
-    if perms.n_points != data.n_slots:
-        raise DomainError("permutation domain does not match the sequence")
+    _check_domain(data, perms)
     n_off = data.n_offline
     t = data.t
     n_slots = data.n_slots
@@ -320,15 +293,14 @@ def elond_set(
     if not bool(_elond_last_selection(rule, fhat, ind_true, ident, n_off, t)[0]):
         raise PreconditionError("the observed point was not selected")
 
-    sel_by_side: dict[int, np.ndarray] = {}
+    point_scores = score_each_point(score, data.full_x(), data.full_y())
+    q = {}
     for k in (0, 1):
-        if perms.m == 0:
-            sel_by_side[k] = np.zeros(0, dtype=bool)
-            continue
         ind = ind_true.copy()
         ind[n_slots - 1] = k
-        sel_by_side[k] = _elond_last_selection(rule, fhat, ind, perms.matrix, n_off, t)
-    return _two_sided_thresholds(data, score, perms, sel_by_side, alpha)
+        sel = _elond_last_selection(rule, fhat, ind, perms.matrix, n_off, t)
+        q[k] = _calibration(point_scores, perms, sel).threshold(alpha).threshold
+    return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
 
 
 def _elond_last_selection(
@@ -357,20 +329,17 @@ def earlier_outcome_set(
     score: LastPointScore,
     perms: PermutationSample,
     alpha: float,
-    boundary_u: float | None = None,
 ) -> IntervalUnionSet:
     """Interval-partition set for selection by past-label quantiles.
 
     Between consecutive sorted past predictions the imputed label's
     comparison with every moved-in prediction is constant, so each open
     interval gets one threshold; the partition boundaries themselves are
-    decided by direct p-value evaluation (deterministic by default,
-    tie-randomized with ``boundary_u``).
+    decided by direct p-value evaluation.
     """
     if data.n_offline:
         raise ConfigurationError("the partition form is defined on plain online sequences")
-    if perms.n_points != data.n_slots:
-        raise DomainError("permutation domain does not match the sequence")
+    _check_domain(data, perms)
     t = data.t
     if t == 1:
         return IntervalUnionSet((), (math.inf,), ())
@@ -389,45 +358,48 @@ def earlier_outcome_set(
     test_slot = t - 1
 
     P = perms.matrix
-    if perms.m:
-        last = P[:, -1]
-        mu_last = mu_points[last]
-        in_prefix = P[:, :-1] == test_slot
-        w_l = in_prefix @ weights  # weight of the slot holding the test point, 0 if none
-        y_perm = full_y[P[:, :-1]]
-        base = ((y_perm > mu_last[:, None]) * weights).sum(axis=1)  # NaN test slot drops out
-        p0 = base / total
-        p1 = (base + w_l) / total
-        stay = last == test_slot
-        sel_stay = stay & (p0 <= rule.beta_sel)
-    else:
-        last = np.empty(0, dtype=np.int64)
-        mu_last = p0 = p1 = np.empty(0)
-        stay = sel_stay = np.zeros(0, dtype=bool)
+    last = P[:, -1]
+    mu_last = mu_points[last]
+    in_prefix = P[:, :-1] == test_slot
+    w_l = in_prefix @ weights  # weight of the slot holding the test point, 0 if none
+    y_perm = full_y[P[:, :-1]]
+    base = ((y_perm > mu_last[:, None]) * weights).sum(axis=1)  # NaN test slot drops out
+    p0 = base / total
+    p1 = (base + w_l) / total
+    stay = last == test_slot
+    sel_stay = stay & (p0 <= rule.beta_sel)
 
     thresholds = []
     for j in range(t):
         mask = sel_stay.copy()
-        if perms.m:
-            if j >= 1:
-                mask |= ~stay & (mu_last <= breakpoints[j - 1]) & (p1 <= rule.beta_sel)
-            if j <= t - 2:
-                mask |= ~stay & (mu_last >= breakpoints[j]) & (p0 <= rule.beta_sel)
-        ref_size = 1 + int(mask.sum())
-        moved = mask & ~stay
-        scores_moved = point_scores[last[moved]]
-        rank = coverage_rank(alpha, ref_size)
-        thresholds.append(kth_smallest_or_inf(rank, scores_moved))
+        if j >= 1:
+            mask |= ~stay & (mu_last <= breakpoints[j - 1]) & (p1 <= rule.beta_sel)
+        if j <= t - 2:
+            mask |= ~stay & (mu_last >= breakpoints[j]) & (p0 <= rule.beta_sel)
+        thresholds.append(_calibration(point_scores, perms, mask).threshold(alpha).threshold)
 
     included = []
     for b in breakpoints:
-        if boundary_u is None:
-            p = pemi_pvalue(float(b), data, rule, score, perms)
-        else:
-            p = pemi_pvalue_randomized(float(b), data, rule, score, perms, boundary_u)
-        included.append(p.exceeds(alpha))
+        included.append(pemi_pvalue(float(b), data, rule, score, perms).exceeds(alpha))
     return IntervalUnionSet(
         breakpoints=tuple(float(b) for b in breakpoints),
         thresholds=tuple(thresholds),
         boundary_included=tuple(included),
     )
+
+
+def multi_test_threshold_set(
+    data: MultiTestData,
+    j: int,
+    rule: MultiTestRule,
+    score: LastPointScore,
+    perms: PermutationSample,
+    alpha: float,
+) -> ThresholdSet:
+    """Single-threshold set for rules whose selection ignores labels."""
+    if not rule.covariate_only:
+        raise ConfigurationError("threshold form needs a label-free multi-test rule")
+    if perms.n_points != data.n + 1:
+        raise DomainError("permutations must act on the calibration points plus one test point")
+    sel = _multi_test_mask(0.0, data, j, rule, perms.matrix)  # imputed label unused
+    return _calibration(score.of_points(data.calib_x, data.calib_y), perms, sel).threshold(alpha)

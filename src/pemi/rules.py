@@ -41,7 +41,6 @@ __all__ = [
     "SelectionTaxonomy",
     "recency_weights",
     "weighted_pvalue_history",
-    "prediction_minus_cutoff",
 ]
 
 
@@ -294,13 +293,6 @@ class UncertaintyBudgetRule(CovariateRule):
 # ---------------------------------------------------------------------------
 # cutoff-based (conformal testing) rules
 # ---------------------------------------------------------------------------
-
-
-def prediction_minus_cutoff(mu: ModelFn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The canonical cutoff score F(x, c) = mu(x) - c (non-increasing in c)."""
-    def f(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.asarray(mu(X), dtype=float) - np.asarray(c, dtype=float)
-    return f
 
 
 def weighted_pvalue_history(

@@ -41,7 +41,12 @@ class LinearModel:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        return self.intercept + X @ np.asarray(self.coef)
+        # Column by column: a BLAS matrix-vector product can round a row differently in batches
+        # of different sizes, and the closed forms and the engine score a point in different ones.
+        dot = np.zeros(X.shape[0])
+        for j, c in enumerate(self.coef):
+            dot += X[:, j] * c
+        return self.intercept + dot
 
 
 def fit_linear_model(X: np.ndarray, y: np.ndarray) -> LinearModel:

@@ -66,11 +66,6 @@ class ThresholdEngine(abc.ABC):
         the input is never read when computing the j-th output.
         """
 
-    def next_alpha(self, past_pvals) -> float:
-        """Threshold for the step following the given history."""
-        hist = np.concatenate([np.asarray(past_pvals, dtype=float), [1.0]])
-        return float(self.alphas(hist)[-1])
-
     @abc.abstractmethod
     def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
         """``alphas`` on every row of an (R, T) batch."""

@@ -16,11 +16,11 @@ from pemi.crosscheck import run_crosscheck
 from pemi.engine import (
     TopPredictionRule,
     multi_test_pvalue,
-    multi_test_threshold_set,
     pemi_pvalue,
     pemi_pvalue_randomized,
 )
 from pemi.experiment import ExperimentConfig, run_experiment, write_outputs
+from pemi.fast import multi_test_threshold_set
 from pemi.generators import GeneratorConfig, TrueMeanModel, generate
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import sample_permutations

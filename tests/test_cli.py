@@ -117,3 +117,28 @@ def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
     cfg.write_text("\n".join(lines + [entry]) + "\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ("cutoff: 0.7", "'cutoff'"),
+        ("rule: always", "'rule'"),
+        ("cutoff: {value: abc}", "'value'"),
+        ("rule: {name: weighted_quantile, q_sel: high}", "'q_sel'"),
+        ("T: abc", "'T'"),
+        ("generator: {setting: nonlinear_1d, sigmaa: 1.0}", "'sigmaa'"),
+        ("score: {name: abs_residual, model: {name: column, index: 5}}", "column 5"),
+        ("rule: {name: decision_driven, tau0: 200, tau1: .nan}", "'tau1'"),
+        ("rule: {name: weighted_quantile, decay: .nan}", "'decay'"),
+        ("rule: {name: conformal_pvalue, test_alpha: .nan}", "'test_alpha'"),
+    ],
+)
+def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, entry, named):
+    cfg = tmp_path / "cfg.yaml"
+    key = entry.split(":")[0]
+    lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key}:")]
+    cfg.write_text("\n".join(lines + [entry]) + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err

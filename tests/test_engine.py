@@ -10,13 +10,13 @@ from pemi.engine import (
     TopPredictionRule,
     multi_test_pvalue,
     multi_test_set_grid,
-    multi_test_threshold_set,
     pemi_pvalue,
     pemi_pvalue_randomized,
     pemi_set_finite,
     pemi_set_grid,
 )
 from pemi.errors import DomainError, PreconditionError
+from pemi.fast import multi_test_threshold_set
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import identity_sequence, sample_permutations
 from pemi.rules import (

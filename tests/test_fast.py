@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pemi import fast
-from pemi.crosscheck import check_instance, draw_instance
-from pemi.engine import pemi_pvalue, pemi_set_grid, reference_mask
+from pemi.crosscheck import FAMILIES, check_instance, draw_instance
+from pemi.engine import TopPredictionRule, pemi_pvalue, pemi_set_grid, reference_mask
 from pemi.errors import ConfigurationError, PreconditionError
 from pemi.oracle import all_orders_sample, full_pemi_set_grid
 from pemi.permutations import identity_sequence, sample_permutations
@@ -16,14 +18,15 @@ from pemi.rules import (
     DecisionDrivenRule,
     EarlierOutcomeRule,
     NeverSelectRule,
+    SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
     weighted_pvalue_history,
 )
 from pemi.scores import AbsoluteResidualScore, LinearModel
-from pemi.sets import CutoffPiecewiseSet, IntervalUnionSet, ThresholdSet
+from pemi.sets import CutoffPiecewiseSet, IntervalUnionSet
 from pemi.thresholds import FixedThreshold
-from pemi.types import DataSequence
+from pemi.types import DataSequence, MultiTestData
 
 from conftest import make_sequence
 
@@ -49,9 +52,31 @@ def test_covariate_set_requires_selection(rng, residual_score):
 
 
 def test_covariate_set_m0_is_everything(rng, residual_score):
+    """With no sampled permutations the reference is the identity alone, so
+    every constructor returns the whole label space."""
     data = make_sequence(rng, t=4)
     perms = sample_permutations(4, 0, seed=0)
     dset = fast.covariate_set(data, AlwaysSelectRule(), residual_score, perms, 0.4)
+    assert dset.threshold == math.inf
+    # the randomized p-value at M = 0 is u, kept above alpha here
+    dset = fast.covariate_set_randomized(
+        data, AlwaysSelectRule(), residual_score, perms, 0.4, u=0.9
+    )
+    assert dset.threshold == math.inf
+    for family in ("conformal_fixed", "conformal_adaptive", "elond", "earlier_outcome"):
+        inst = draw_instance(family, np.random.default_rng(5), 4)
+        empty = sample_permutations(4, 0, seed=0, n_offline=inst.data.n_offline)
+        dset = fast._closed_form(inst.data, inst.rule, inst.score, empty, inst.alpha)
+        if isinstance(dset, CutoffPiecewiseSet):
+            assert dset.q_above == dset.q_below == math.inf
+        else:
+            assert set(dset.thresholds) == {math.inf} and all(dset.boundary_included)
+    calib = rng.normal(size=(4, 2))
+    mt = MultiTestData(calib_x=calib, calib_y=calib[:, 0], test_x=rng.normal(size=(2, 2)))
+    rule = TopPredictionRule(mu=MU, k=1)
+    (j,) = rule.select(mt.calib_x, mt.calib_y, mt.test_x)
+    perms = sample_permutations(5, 0, seed=0)
+    dset = fast.multi_test_threshold_set(mt, j, rule, residual_score, perms, 0.4)
     assert dset.threshold == math.inf
 
 
@@ -246,29 +271,6 @@ def test_earlier_outcome_t1_everything(residual_score):
     assert dset.thresholds == (math.inf,)
 
 
-def test_earlier_outcome_randomized_boundaries(rng, residual_score):
-    """The boundary flag switches only the boundary points' membership rule
-    (tie-randomized p-value), never the interval thresholds."""
-    from pemi.engine import pemi_pvalue_randomized
-
-    for trial in range(50):
-        data = make_sequence(rng, t=4)
-        rule = EarlierOutcomeRule(mu=MU, beta_sel=0.5)
-        if not rule.select(identity_sequence(data, 0.0)):
-            continue
-        perms = sample_permutations(4, 12, seed=trial)
-        det = fast.earlier_outcome_set(data, rule, residual_score, perms, alpha=0.4)
-        rand = fast.earlier_outcome_set(
-            data, rule, residual_score, perms, alpha=0.4, boundary_u=0.5
-        )
-        assert det.thresholds == rand.thresholds
-        for b, inc in zip(rand.breakpoints, rand.boundary_included):
-            p = pemi_pvalue_randomized(float(b), data, rule, residual_score, perms, u=0.5)
-            assert inc == p.exceeds(0.4)
-        return
-    pytest.fail("never drew a selected instance")
-
-
 # -- e-LOND -------------------------------------------------------------------
 
 
@@ -290,11 +292,11 @@ def test_elond_identity_in_both_side_references(rng):
 
 
 def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
-    """The trajectory-pinned reference (FCR construction) must agree with
-    the generic engine's taxonomy route on a label grid."""
-    from pemi.rules import SelectionTaxonomy
-
+    """The trajectory-pinned reference (FCR construction) and a predicate
+    taxonomy must agree with the generic engine's taxonomy route on a label
+    grid, with and without sampled permutations."""
     checked = 0
+    grid = np.linspace(-4, 4, 31)
     for trial in range(60):
         data = make_sequence(rng, t=int(rng.integers(3, 7)))
         rule = DecisionDrivenRule(tau0=20.0, tau1=-0.5, mu=MU)
@@ -302,13 +304,19 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
         traj = rule.trajectory(seq)
         if traj[-1] != 1:
             continue
-        taxonomy = SelectionTaxonomy.singleton(traj)
-        perms = sample_permutations(data.t, 15, seed=trial)
-        dset = fast.covariate_set(data, rule, residual_score, perms, 0.4, taxonomy)
-        grid = np.linspace(-4, 4, 31)
-        generic = pemi_set_grid(grid, data, rule, residual_score, perms, 0.4, taxonomy=taxonomy)
-        mine = [dset.contains(float(y), residual_score, data.test_x) for y in grid]
-        assert np.array_equal(generic, mine)
+        taxonomies = (
+            SelectionTaxonomy.singleton(traj),
+            SelectionTaxonomy(predicate=lambda tr, k=int(sum(traj)): sum(tr) == k),
+        )
+        for taxonomy in taxonomies:
+            for m in (0, 15):
+                perms = sample_permutations(data.t, m, seed=trial)
+                dset = fast.covariate_set(data, rule, residual_score, perms, 0.4, taxonomy)
+                generic = pemi_set_grid(
+                    grid, data, rule, residual_score, perms, 0.4, taxonomy=taxonomy
+                )
+                mine = [dset.contains(float(y), residual_score, data.test_x) for y in grid]
+                assert np.array_equal(generic, mine)
         checked += 1
         if checked >= 8:
             return
@@ -318,10 +326,9 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
 # -- the one-stop consistency battery ----------------------------------------
 
 
-@pytest.mark.parametrize("family", ["covariate", "covariate_randomized", "conformal_fixed",
-                                    "conformal_adaptive", "elond", "earlier_outcome"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_family_grid_equivalence_small(family):
-    rng = np.random.default_rng(hash(family) % 2**32)
+    rng = np.random.default_rng(FAMILIES.index(family))
     for i in range(4):
         t = int(rng.integers(3, 7))
         inst = draw_instance(family, rng, t)
@@ -329,3 +336,15 @@ def test_family_grid_equivalence_small(family):
             t, int(rng.choice([0, 5, 20])), seed=i, n_offline=inst.data.n_offline
         )
         assert check_instance(inst, perms, grid_points=40) == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40)
+@given(t=st.integers(2, 6), m=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+@example(t=2, m=2, seed=17229)  # a label on a breakpoint that batch-dependent model rounding split
+def test_closed_form_matches_engine_property(family, t, m, seed):
+    """Closed form = engine on small instances; a failure shrinks to the
+    smallest t and M that shows it."""
+    inst = draw_instance(family, np.random.default_rng(seed), t)
+    perms = sample_permutations(t, m, seed=seed, n_offline=inst.data.n_offline)
+    assert check_instance(inst, perms, grid_points=30) == 0

@@ -99,3 +99,16 @@ def test_finite_label_set():
     assert s.contains(1.0) and not s.contains(2.0)
     assert s.measure() == 0.0
     assert s.intervals() == ((1.0, 1.0), (3.0, 3.0))
+
+
+def test_linear_model_row_does_not_depend_on_its_batch():
+    """The closed forms and the engine evaluate the same point in batches of
+    different sizes; both must see the same float."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        d = int(rng.integers(1, 21))
+        model = LinearModel(float(rng.normal()), tuple(float(c) for c in rng.normal(size=d)))
+        X = rng.normal(size=(int(rng.integers(2, 10)), d))
+        batch = model(X)
+        for i in range(X.shape[0]):
+            assert batch[i] == model(X[i])[0]

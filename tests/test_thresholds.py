@@ -69,9 +69,3 @@ def test_batch_matches_rowwise(engine):
     batch = engine.alphas_batch(p)
     for r in range(5):
         assert np.allclose(batch[r], engine.alphas(p[r]))
-
-
-def test_next_alpha_consistent_with_alphas():
-    eng = LondEngine(alpha=0.4, gamma=lambda t: 0.5**t)
-    hist = np.array([0.05, 0.9, 0.1])
-    assert eng.next_alpha(hist) == pytest.approx(eng.alphas(np.append(hist, 0.77))[-1])
