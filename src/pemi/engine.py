@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .permutations import permute_with_imputation
+from .permutations import _impute_label
 from .quantiles import exceeds_level
 from .rules import SelectionRule, SelectionTaxonomy
 from .scores import ConformityScore, LastPointScore
@@ -79,11 +79,14 @@ def reference_mask(
     With a taxonomy, membership additionally requires the whole permuted
     selection trajectory to stay inside it.  The identity is not part of
     the sample and is accounted for separately by the p-value functions.
+    Each row gives the same sequence as ``permute_with_imputation``; the
+    label is imputed once per call, and each row only indexes the result.
     """
     _check_domain(data, perms)
+    reorder = _impute_label(data, y)
     out = np.zeros(perms.m, dtype=bool)
     for i, order in enumerate(perms.matrix):
-        seq = permute_with_imputation(data, order, y)
+        seq = reorder(order)
         if taxonomy is None:
             out[i] = rule.select(seq)
         else:

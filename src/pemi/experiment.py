@@ -222,6 +222,11 @@ def _resolve_model(spec: dict | None, gen: GeneratorConfig | None, stream: Strea
         train_n = _number(spec, "train_n", 500, kind=int)
         train_seed = _number(spec, "train_seed", 1, kind=int)
         _no_options_left(spec, "model 'linear_fit'")
+        n_coef = feature_dim(gen) + 1
+        if train_n < n_coef:
+            raise ConfigurationError(
+                f"option 'train_n' must be >= {n_coef}, one row per fitted coefficient, got {train_n}"
+            )
         rng = np.random.default_rng(np.random.SeedSequence((train_seed, 88261)))
         X, Y = generate(gen, train_n, rng)
         return fit_linear_model(X, Y)
@@ -329,6 +334,10 @@ def _resolve_cutoff(spec: dict | None, gen: GeneratorConfig | None) -> float | N
     sample_n = _number(spec, "sample_n", 2000, kind=int)
     seed = _number(spec, "seed", 7, kind=int)
     _no_options_left(spec, "cutoff 'quantile'")
+    if not 0 <= q <= 1:
+        raise ConfigurationError(f"option 'quantile' must be in [0, 1], got {q}")
+    if sample_n < 1:
+        raise ConfigurationError(f"option 'sample_n' must be >= 1, got {sample_n}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 55117)))
     _, Y = generate(gen, sample_n, rng)
     return float(np.quantile(Y, q))

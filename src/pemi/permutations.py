@@ -11,6 +11,8 @@ uniforms.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import DomainError
@@ -98,22 +100,35 @@ def permute_with_imputation(seq: DataSequence, order: np.ndarray, y: float) -> O
     n = seq.n_slots
     if order.shape != (n,):
         raise DomainError(f"permutation domain size {order.shape} != sequence slots {n}")
-    full_x = seq.full_x()
-    full_y = seq.full_y()
-    cut = seq.full_cutoffs()
+    return _impute_label(seq, y)(order)
 
-    head = order[:-1]
-    prefix_y = full_y[head]
-    test_slot = n - 1
-    prefix_y[head == test_slot] = y
-    return OrderedSequence(
-        prefix_x=full_x[head],
-        prefix_y=prefix_y,
-        final_x=full_x[order[-1]],
-        prefix_cutoffs=None if cut is None else cut[head],
-        final_cutoff=None if cut is None else float(cut[order[-1]]),
-        n_offline=seq.n_offline,
-    )
+
+def _impute_label(seq: DataSequence, y: float) -> Callable[[np.ndarray], OrderedSequence]:
+    """Impute ``y`` once; the returned function applies one order to the result.
+
+    The label step copies the slot-order labels with ``y`` in the test
+    slot, so the test point carries ``y`` wherever an order moves it.  The
+    row step only indexes the slot arrays; it does not check ``order``,
+    which must be an int64 permutation of the slots.
+    """
+    full_x = seq.full_x()
+    cut = seq.full_cutoffs()
+    n_offline = seq.n_offline
+    imputed_y = seq.full_y().copy()
+    imputed_y[-1] = y
+
+    def reorder(order: np.ndarray) -> OrderedSequence:
+        head, last = order[:-1], order[-1]
+        return OrderedSequence(
+            prefix_x=full_x[head],
+            prefix_y=imputed_y[head],
+            final_x=full_x[last],
+            prefix_cutoffs=None if cut is None else cut[head],
+            final_cutoff=None if cut is None else float(cut[last]),
+            n_offline=n_offline,
+        )
+
+    return reorder
 
 
 def identity_sequence(seq: DataSequence, y: float) -> OrderedSequence:

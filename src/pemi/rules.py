@@ -16,6 +16,7 @@ materializing the permuted order, never by mutating state.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -51,18 +52,27 @@ def recency_weights(
 
     Equal weights when both parameters are None.  Only weight ratios ever
     matter downstream, so anchoring the geometric profile at the last slot
-    keeps magnitudes bounded.
+    keeps magnitudes bounded.  Without ``weight_fn`` the result is
+    read-only and shared between calls with equal ``(n, decay)``; a
+    ``weight_fn`` is called afresh every time.
     """
-    if weight_fn is not None:
-        w = np.array([weight_fn(i, n) for i in range(1, n + 1)], dtype=float)
-    elif decay is None:
+    if weight_fn is None:
+        return _profile_weights(n, decay)
+    w = np.array([weight_fn(i, n) for i in range(1, n + 1)], dtype=float)
+    if np.any(w < 0):
+        raise ConfigurationError("weights must be non-negative")
+    return w
+
+
+@functools.lru_cache(maxsize=256)
+def _profile_weights(n: int, decay: float | None) -> np.ndarray:
+    if decay is None:
         w = np.ones(n)
     else:
         if decay <= 0:
             raise ConfigurationError(f"decay must be positive, got {decay}")
         w = decay ** np.arange(n - 1, -1, -1, dtype=float)
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
+    w.setflags(write=False)
     return w
 
 
@@ -383,6 +393,10 @@ class ELondRule(SelectionRule):
     alpha: float
     gamma: Callable[[int], float] = default_gamma
     randomize_u: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < 1:
+            raise ConfigurationError(f"alpha must be in (0,1), got {self.alpha}")
 
     def _streams(self, seq: OrderedSequence) -> tuple[np.ndarray, np.ndarray]:
         if seq.n_offline < 1:

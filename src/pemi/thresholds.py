@@ -112,6 +112,10 @@ class LondEngine(ThresholdEngine):
     alpha: float
     gamma: Callable[[int], float] = default_gamma
 
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < 1:
+            raise ConfigurationError(f"alpha must be in (0,1), got {self.alpha}")
+
     def alphas(self, pvals: np.ndarray) -> np.ndarray:
         p = np.asarray(pvals, dtype=float)
         g = _gamma_array(self.gamma, p.shape[0])

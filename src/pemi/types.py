@@ -98,8 +98,13 @@ class DataSequence:
         off_x, off_y = ([self.offline_x], [self.offline_y]) if self.n_offline else ([], [])
         full_x = np.concatenate(off_x + [x, test_x.reshape(1, -1)], axis=0)
         full_y = np.concatenate(off_y + [y, [np.nan]])
-        for name, arr in (("_full_x", full_x), ("_full_y", full_y)):
-            arr.setflags(write=False)
+        full_c = None
+        if self.cutoffs is not None and (self.offline_cutoffs is not None or not self.n_offline):
+            off_c = [self.offline_cutoffs] if self.n_offline else []
+            full_c = np.concatenate(off_c + [self.cutoffs, [float(self.test_cutoff)]])
+        for name, arr in (("_full_x", full_x), ("_full_y", full_y), ("_full_cutoffs", full_c)):
+            if arr is not None:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     # -- geometry -----------------------------------------------------
@@ -126,16 +131,10 @@ class DataSequence:
         return self._full_y
 
     def full_cutoffs(self) -> np.ndarray | None:
-        if self.cutoffs is None:
-            return None
-        parts = []
-        if self.n_offline:
-            if self.offline_cutoffs is None:
-                raise DomainError("offline block present but offline cutoffs missing")
-            parts.append(self.offline_cutoffs)
-        parts.append(self.cutoffs)
-        parts.append(np.array([self.test_cutoff], dtype=float))
-        return np.concatenate(parts)
+        """Cutoffs in slot order (read-only); None for a sequence without cutoffs."""
+        if self.cutoffs is not None and self._full_cutoffs is None:
+            raise DomainError("offline block present but offline cutoffs missing")
+        return self._full_cutoffs
 
 
 @dataclass(frozen=True)

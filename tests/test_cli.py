@@ -132,6 +132,11 @@ def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
         ("rule: {name: decision_driven, tau0: 200, tau1: .nan}", "'tau1'"),
         ("rule: {name: weighted_quantile, decay: .nan}", "'decay'"),
         ("rule: {name: conformal_pvalue, test_alpha: .nan}", "'test_alpha'"),
+        ("cutoff: {quantile: 1.5}", "'quantile'"),
+        ("cutoff: {quantile: 0.5, sample_n: 0}", "'sample_n'"),
+        ("rule: {name: conformal_pvalue, test_alpha: 5.0}\ncutoff: {value: 0.0}", "alpha"),
+        ("rule: {name: elond, test_alpha: 5.0}\ncutoff: {value: 0.0}\noffline_n: 5", "alpha"),
+        ("score: {name: abs_residual, model: {name: linear_fit, train_n: 0}}", "'train_n'"),
     ],
 )
 def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, entry, named):

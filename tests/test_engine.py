@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pemi.crosscheck import FAMILIES, draw_instance
 from pemi.engine import (
     MultiTestRule,
     TopPredictionRule,
@@ -14,20 +15,22 @@ from pemi.engine import (
     pemi_pvalue_randomized,
     pemi_set_finite,
     pemi_set_grid,
+    reference_mask,
 )
 from pemi.errors import DomainError, PreconditionError
 from pemi.fast import multi_test_threshold_set
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
-from pemi.permutations import identity_sequence, sample_permutations
+from pemi.permutations import identity_sequence, permute_with_imputation, sample_permutations
 from pemi.rules import (
     AlwaysSelectRule,
     DecisionDrivenRule,
+    EarlierOutcomeRule,
     NeverSelectRule,
     SelectionTaxonomy,
     WeightedPredictionRule,
 )
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
-from pemi.types import DataSequence, MultiTestData
+from pemi.types import DataSequence, MultiTestData, PermutationSample
 
 from conftest import make_sequence
 
@@ -163,6 +166,45 @@ def test_offline_swap_membership_hand_check(residual_score):
 
     perms = PermutationSample(matrix=matrix, seed=0, n_points=4, index_start=-1)
     assert reference_mask(0.0, data, rule, perms).tolist() == [True, False]
+
+
+def _loop_mask(y, data, rule, perms, taxonomy=None):
+    """reference_mask spelled out with the public helper, one row at a time."""
+    out = []
+    for order in perms.matrix:
+        seq = permute_with_imputation(data, order, y)
+        if taxonomy is None:
+            out.append(bool(rule.select(seq)))
+        else:
+            traj = rule.trajectory(seq)
+            out.append(traj[-1] == 1 and taxonomy.contains(traj))
+    return np.array(out, dtype=bool)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reference_mask_equals_a_loop_over_the_public_helper(family):
+    rng = np.random.default_rng(500 + FAMILIES.index(family))
+    for t in (2, 4, 6):
+        inst = draw_instance(family, rng, t)
+        data, rule = inst.data, inst.rule
+        n = data.n_slots
+        sampled = sample_permutations(t, 30, seed=int(rng.integers(2**31)), n_offline=data.n_offline)
+        # every row that swaps the test point with another slot, offline slots included
+        swaps = np.tile(np.arange(n), (n - 1, 1))
+        for s in range(n - 1):
+            swaps[s, [s, n - 1]] = [n - 1, s]
+        perms = PermutationSample(
+            matrix=np.concatenate([sampled.matrix, swaps]), seed=0, n_points=n,
+            index_start=sampled.index_start,
+        )
+        labels = [float(v) for v in rng.normal(size=3)]
+        if isinstance(rule, EarlierOutcomeRule):  # the partition boundaries
+            labels += [float(v) for v in rule.mu(data.x)]
+        observed = SelectionTaxonomy.singleton(rule.trajectory(identity_sequence(data, 0.0)))
+        for y in labels:
+            for taxonomy in (None, observed):
+                want = _loop_mask(y, data, rule, perms, taxonomy)
+                assert np.array_equal(reference_mask(y, data, rule, perms, taxonomy), want)
 
 
 # -- taxonomy -----------------------------------------------------------------

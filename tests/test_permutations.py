@@ -128,3 +128,21 @@ def test_offline_slots_keep_designation(rng):
     assert out.n_offline == 2
     assert out.prefix_y[0] == 1.5  # test point moved into the first offline slot
     assert out.length == 5
+
+
+def test_full_cutoffs_is_read_only_and_checks_the_offline_block():
+    seq = DataSequence(x=[[0.0], [1.0]], y=[0.0, 1.0], test_x=[2.0], cutoffs=[0.5, 0.6], test_cutoff=0.7)
+    cut = seq.full_cutoffs()
+    assert cut.tolist() == [0.5, 0.6, 0.7]
+    assert seq.full_cutoffs() is cut
+    with pytest.raises(ValueError):
+        cut[0] = 1.0
+    no_offline_cutoffs = DataSequence(
+        x=[[0.0]], y=[0.0], test_x=[2.0], cutoffs=[0.5], test_cutoff=0.7,
+        offline_x=[[3.0]], offline_y=[3.0],
+    )
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            no_offline_cutoffs.full_cutoffs()
+    with pytest.raises(DomainError):
+        permute_with_imputation(no_offline_cutoffs, np.arange(3), y=0.0)

@@ -69,3 +69,9 @@ def test_batch_matches_rowwise(engine):
     batch = engine.alphas_batch(p)
     for r in range(5):
         assert np.allclose(batch[r], engine.alphas(p[r]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1])
+def test_lond_alpha_outside_unit_interval_rejected(alpha):
+    with pytest.raises(ConfigurationError):
+        LondEngine(alpha=alpha)
