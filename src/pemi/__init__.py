@@ -25,10 +25,8 @@ Layers:
 from .engine import (
     SelectionPValue,
     multi_test_pvalue,
-    multi_test_set_grid,
     pemi_pvalue,
     pemi_pvalue_randomized,
-    pemi_set_finite,
     pemi_set_grid,
 )
 from .errors import (
@@ -57,10 +55,8 @@ __all__ = [
     "weighted_quantile",
     "pemi_pvalue",
     "pemi_pvalue_randomized",
-    "pemi_set_finite",
     "pemi_set_grid",
     "multi_test_pvalue",
-    "multi_test_set_grid",
     "multi_test_threshold_set",
     "PemiError",
     "DomainError",

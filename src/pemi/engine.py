@@ -21,20 +21,17 @@ from .permutations import _impute_label
 from .quantiles import exceeds_level
 from .rules import SelectionRule, SelectionTaxonomy
 from .scores import ConformityScore, LastPointScore
-from .sets import FiniteLabelSet
-from .types import DataSequence, MultiTestData, PermutationSample
+from .types import DataSequence, MultiTestData, OrderedSequence, PermutationSample
 
 __all__ = [
     "SelectionPValue",
     "pemi_pvalue",
     "pemi_pvalue_randomized",
-    "pemi_set_finite",
     "pemi_set_grid",
     "reference_mask",
     "MultiTestRule",
     "TopPredictionRule",
     "multi_test_pvalue",
-    "multi_test_set_grid",
 ]
 
 
@@ -173,30 +170,6 @@ def pemi_pvalue_randomized(
     )
 
 
-def pemi_set_finite(
-    labels: Sequence[float],
-    data: DataSequence,
-    rule: SelectionRule,
-    score: ConformityScore,
-    perms: PermutationSample,
-    alpha: float,
-    u: float | None = None,
-    taxonomy: SelectionTaxonomy | None = None,
-) -> FiniteLabelSet:
-    """{y in labels : p(y) > alpha} by direct enumeration."""
-    if len(labels) == 0:
-        raise DomainError("label set must be non-empty")
-    keep = []
-    for y in labels:
-        if u is None:
-            p = pemi_pvalue(y, data, rule, score, perms, taxonomy)
-        else:
-            p = pemi_pvalue_randomized(y, data, rule, score, perms, u, taxonomy)
-        if p.exceeds(alpha):
-            keep.append(float(y))
-    return FiniteLabelSet(labels=tuple(keep))
-
-
 def pemi_set_grid(
     grid: Sequence[float],
     data: DataSequence,
@@ -259,28 +232,32 @@ class TopPredictionRule(MultiTestRule):
         return frozenset(int(i) for i in order[: self.k])
 
 
-def _multi_test_mask(
-    y: float,
-    data: MultiTestData,
-    j: int,
-    rule: MultiTestRule,
-    orders: np.ndarray,
-) -> np.ndarray:
-    n = data.n
-    pool_x = np.concatenate([data.calib_x, data.test_x[j].reshape(1, -1)], axis=0)
-    pool_y = np.concatenate([data.calib_y, [y]])
-    out = np.zeros(orders.shape[0], dtype=bool)
-    test_x = data.test_x
-    for i, order in enumerate(orders):
-        calib_x = pool_x[order[:n]]
-        calib_y = pool_y[order[:n]]
-        if order[n] == n:
-            tx = test_x
-        else:
-            tx = test_x.copy()
-            tx[j] = pool_x[order[n]]
-        out[i] = j in rule.select(calib_x, calib_y, tx)
-    return out
+class _TestSlotRule(SelectionRule):
+    """A multi-test rule seen from test index ``j``: the final slot stands in
+    for test row ``j``, the prefix for the calibration points, and the other
+    test rows stay fixed."""
+
+    def __init__(self, rule: MultiTestRule, j: int, test_x: np.ndarray) -> None:
+        self.rule, self.j, self.test_x = rule, j, test_x
+        self.covariate_only = rule.covariate_only
+
+    def select(self, seq: OrderedSequence) -> bool:
+        test_x = self.test_x.copy()
+        test_x[self.j] = seq.final_x
+        return self.j in self.rule.select(seq.prefix_x, seq.prefix_y, test_x)
+
+
+def _single_test(
+    data: MultiTestData, j: int, rule: MultiTestRule, perms: PermutationSample | None = None
+) -> tuple[DataSequence, SelectionRule]:
+    """Test index ``j`` as a single-test problem: the calibration points are
+    the labeled history and test point ``j`` the test slot."""
+    if not 0 <= j < data.m:
+        raise DomainError(f"test index {j} outside 0..{data.m - 1}")
+    if perms is not None and perms.n_points != data.n + 1:
+        raise DomainError("permutations must act on the calibration points plus one test point")
+    seq = DataSequence(x=data.calib_x, y=data.calib_y, test_x=data.test_x[j])
+    return seq, _TestSlotRule(rule, j, data.test_x)
 
 
 def multi_test_pvalue(
@@ -298,34 +275,7 @@ def multi_test_pvalue(
     other test covariates are held fixed.  Precondition: ``j`` is in the
     observed selection (checked unless ``require_selected=False``).
     """
-    if not 0 <= j < data.m:
-        raise DomainError(f"test index {j} outside 0..{data.m - 1}")
-    if perms.n_points != data.n + 1:
-        raise DomainError("permutations must act on the calibration points plus one test point")
+    seq, single = _single_test(data, j, rule, perms)
     if require_selected and j not in rule.select(data.calib_x, data.calib_y, data.test_x):
         raise PreconditionError(f"test index {j} was not selected on the observed data")
-    mask = _multi_test_mask(y, data, j, rule, perms.matrix)
-    point_scores = np.empty(data.n + 1)
-    if data.n:
-        point_scores[: data.n] = score.of_points(data.calib_x, data.calib_y)
-    point_scores[data.n] = score.of_point(data.test_x[j], y)
-    v0 = point_scores[data.n]
-    vals = point_scores[perms.matrix[mask][:, -1]] if mask.any() else np.empty(0)
-    exceed = 1 + int(np.sum(v0 <= vals))
-    ref_size = 1 + int(mask.sum())
-    return SelectionPValue(value=exceed / ref_size, ref_size=ref_size, exceed_count=exceed)
-
-
-def multi_test_set_grid(
-    grid: Sequence[float],
-    data: MultiTestData,
-    j: int,
-    rule: MultiTestRule,
-    score: LastPointScore,
-    perms: PermutationSample,
-    alpha: float,
-) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    return np.array(
-        [multi_test_pvalue(float(y), data, j, rule, score, perms).exceeds(alpha) for y in g]
-    )
+    return pemi_pvalue(y, seq, single, score, perms)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MultiTestRule, _check_domain, _multi_test_mask, pemi_pvalue
+from .engine import MultiTestRule, _check_domain, _single_test, pemi_pvalue, reference_mask
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
@@ -399,7 +399,6 @@ def multi_test_threshold_set(
     """Single-threshold set for rules whose selection ignores labels."""
     if not rule.covariate_only:
         raise ConfigurationError("threshold form needs a label-free multi-test rule")
-    if perms.n_points != data.n + 1:
-        raise DomainError("permutations must act on the calibration points plus one test point")
-    sel = _multi_test_mask(0.0, data, j, rule, perms.matrix)  # imputed label unused
+    seq, single = _single_test(data, j, rule, perms)
+    sel = reference_mask(0.0, seq, single, perms)  # imputed label unused
     return _calibration(score.of_points(data.calib_x, data.calib_y), perms, sel).threshold(alpha)

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .engine import MultiTestRule, SelectionPValue, _multi_test_mask
+from .engine import MultiTestRule, SelectionPValue, _single_test
 from .errors import GuardError, PreconditionError
 from .permutations import permute_with_imputation
 from .quantiles import inflated_quantile
@@ -205,12 +205,5 @@ def jomi_multi_test_set(
     """Swap-based set for a selected test index under a symmetric rule."""
     if not (rule.symmetric_in_calibration and rule.covariate_only):
         raise PreconditionError("swap construction needs a symmetric, label-free rule")
-    n = data.n
-    keep = []
-    for i in range(n):
-        order = np.arange(n + 1)
-        order[i], order[n] = n, i
-        if _multi_test_mask(0.0, data, j, rule, order.reshape(1, -1))[0]:
-            keep.append(i)
-    scores = score.of_points(data.calib_x[keep], data.calib_y[keep]) if keep else np.empty(0)
-    return ThresholdSet(inflated_quantile(1 - alpha, scores))
+    seq, single = _single_test(data, j, rule)
+    return jomi_set_symmetric(seq, single, score, alpha, check_symmetry=False)

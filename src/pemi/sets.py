@@ -22,7 +22,6 @@ __all__ = [
     "ThresholdSet",
     "CutoffPiecewiseSet",
     "IntervalUnionSet",
-    "FiniteLabelSet",
     "total_length",
 ]
 
@@ -141,19 +140,3 @@ class IntervalUnionSet:
 
     def measure(self, score: LastPointScore, x: np.ndarray) -> float:
         return total_length(self.intervals(score, x))
-
-
-@dataclass(frozen=True)
-class FiniteLabelSet:
-    """An explicitly enumerated label set (classification-style output)."""
-
-    labels: tuple[float, ...]
-
-    def contains(self, y: float, score: LastPointScore | None = None, x: np.ndarray | None = None) -> bool:
-        return y in self.labels
-
-    def intervals(self, score: LastPointScore | None = None, x: np.ndarray | None = None) -> Intervals:
-        return tuple((v, v) for v in sorted(self.labels))
-
-    def measure(self, score: LastPointScore | None = None, x: np.ndarray | None = None) -> float:
-        return 0.0

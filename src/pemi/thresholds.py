@@ -30,7 +30,6 @@ __all__ = [
     "ThresholdEngine",
     "FixedThreshold",
     "LondEngine",
-    "lond_rejections",
 ]
 
 
@@ -84,25 +83,6 @@ class FixedThreshold(ThresholdEngine):
 
     def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(pvals).shape, self.q)
-
-
-def lond_rejections(pvals: np.ndarray, alpha: float, gamma: Callable[[int], float]) -> np.ndarray:
-    """Boolean rejection profile of the discovery-count procedure."""
-    p = np.asarray(pvals, dtype=float)
-    g = _gamma_array(gamma, p.shape[-1])
-    if p.ndim == 1:
-        rej = np.zeros(p.shape[0], dtype=bool)
-        d = 0
-        for j in range(p.shape[0]):
-            rej[j] = p[j] <= alpha * g[j] * (d + 1)
-            d += int(rej[j])
-        return rej
-    rej = np.zeros(p.shape, dtype=bool)
-    d = np.zeros(p.shape[0], dtype=np.int64)
-    for j in range(p.shape[1]):
-        rej[:, j] = p[:, j] <= alpha * g[j] * (d + 1)
-        d += rej[:, j]
-    return rej
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,8 @@ class DataSequence:
             raise DomainError("feature dimension differs between history and test point")
         if not np.all(np.isfinite(y)):
             raise DomainError("labels must be finite")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(test_x))):
+            raise DomainError("covariates must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "test_x", test_x)
@@ -80,6 +82,8 @@ class DataSequence:
                 raise DomainError("offline x/y length mismatch")
             if ox.shape[0] and ox.shape[1] != test_x.shape[0]:
                 raise DomainError("offline feature dimension differs from test point")
+            if not (np.all(np.isfinite(ox)) and np.all(np.isfinite(oy))):
+                raise DomainError("offline covariates and labels must be finite")
             object.__setattr__(self, "offline_x", ox)
             object.__setattr__(self, "offline_y", oy)
         if self.cutoffs is not None:
@@ -88,11 +92,15 @@ class DataSequence:
                 raise DomainError("cutoffs length must match the labeled history")
             if self.test_cutoff is None:
                 raise DomainError("test_cutoff required when history cutoffs are given")
+            if np.any(np.isnan(c)) or np.isnan(float(self.test_cutoff)):
+                raise DomainError("cutoffs must not be NaN")
             object.__setattr__(self, "cutoffs", c)
         if self.offline_cutoffs is not None:
             oc = np.asarray(self.offline_cutoffs, dtype=float).reshape(-1)
             if self.offline_y is None or oc.shape[0] != self.offline_y.shape[0]:
                 raise DomainError("offline cutoffs length mismatch")
+            if np.any(np.isnan(oc)):
+                raise DomainError("cutoffs must not be NaN")
             object.__setattr__(self, "offline_cutoffs", oc)
         # The engine reads the slot-order arrays once per permutation: build them once, read-only.
         off_x, off_y = ([self.offline_x], [self.offline_y]) if self.n_offline else ([], [])
@@ -228,6 +236,8 @@ class MultiTestData:
             raise DomainError("calibration x/y length mismatch")
         if cx.shape[1] != tx.shape[1]:
             raise DomainError("feature dimension differs between calibration and test")
+        if not all(np.all(np.isfinite(a)) for a in (cx, cy, tx)):
+            raise DomainError("calibration and test data must be finite")
         object.__setattr__(self, "calib_x", cx)
         object.__setattr__(self, "calib_y", cy)
         object.__setattr__(self, "test_x", tx)

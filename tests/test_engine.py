@@ -10,10 +10,8 @@ from pemi.engine import (
     MultiTestRule,
     TopPredictionRule,
     multi_test_pvalue,
-    multi_test_set_grid,
     pemi_pvalue,
     pemi_pvalue_randomized,
-    pemi_set_finite,
     pemi_set_grid,
     reference_mask,
 )
@@ -103,8 +101,8 @@ def test_randomized_all_ties_gives_u():
 def test_finite_set_alpha_zero_keeps_all(rng, residual_score):
     data = make_sequence(rng, t=4)
     perms = sample_permutations(4, 8, seed=2)
-    got = pemi_set_finite([-1.0, 0.0, 1.0], data, AlwaysSelectRule(), residual_score, perms, 0.0)
-    assert got.labels == (-1.0, 0.0, 1.0)
+    got = pemi_set_grid([-1.0, 0.0, 1.0], data, AlwaysSelectRule(), residual_score, perms, 0.0)
+    assert got.tolist() == [True, True, True]
 
 
 def test_finite_set_monotone_in_alpha(rng, residual_score):
@@ -114,8 +112,8 @@ def test_finite_set_monotone_in_alpha(rng, residual_score):
     labels = list(np.linspace(-4, 4, 9))
     sizes = []
     for alpha in (0.1, 0.3, 0.5, 0.8):
-        got = pemi_set_finite(labels, data, rule, residual_score, perms, alpha)
-        sizes.append(len(got.labels))
+        got = pemi_set_grid(labels, data, rule, residual_score, perms, alpha)
+        sizes.append(int(got.sum()))
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -283,6 +281,51 @@ def test_multi_test_m1_reduces_to_always(rng, residual_score):
         assert a == b
 
 
+class _LabelWeightedBarRule(MultiTestRule):
+    """Select the test rows whose first covariate clears a bar built from the
+    calibration labels with weights that fall with position: the decision
+    reads labels and depends on the calibration order."""
+
+    def select(self, calib_x, calib_y, test_x):
+        bar = float(np.sum(0.5 ** np.arange(calib_y.shape[0]) * calib_y)) / 2
+        return frozenset(int(i) for i in np.flatnonzero(test_x[:, 0] >= bar))
+
+
+def _loop_multi_test_pvalue(y, data, j, rule, score, perms):
+    """The multi-test p-value spelled out row by row: slot ``n`` of each order
+    is test point ``j``, slots ``0..n-1`` the calibration points, and the
+    other test rows stay where they are."""
+    n = data.n
+    pool_x = np.concatenate([data.calib_x, data.test_x[j : j + 1]])
+    pool_y = np.append(data.calib_y, y)
+    point_scores = np.append(score.of_points(data.calib_x, data.calib_y), score.of_point(data.test_x[j], y))
+    kept = []
+    for order in perms.matrix:
+        test_x = data.test_x.copy()
+        test_x[j] = pool_x[order[n]]
+        if j in rule.select(pool_x[order[:n]], pool_y[order[:n]], test_x):
+            kept.append(point_scores[order[n]])
+    exceed = 1 + sum(point_scores[n] <= v for v in kept)
+    return exceed / (1 + len(kept)), 1 + len(kept), exceed
+
+
+def test_multi_test_pvalue_matches_a_loop_over_the_slot_mapping(residual_score):
+    rng = np.random.default_rng(71)
+    rule = _LabelWeightedBarRule()
+    for n in (0, 1, 3, 5):
+        for m in (1, 3):
+            data = _mt_data(rng, n=n, m=m)
+            for M in (0, 9):
+                perms = sample_permutations(n + 1, M, seed=int(rng.integers(2**31)))
+                for j in range(m):
+                    for y in rng.normal(size=3):
+                        p = multi_test_pvalue(
+                            float(y), data, j, rule, residual_score, perms, require_selected=False
+                        )
+                        want = _loop_multi_test_pvalue(float(y), data, j, rule, residual_score, perms)
+                        assert (p.value, p.ref_size, p.exceed_count) == want
+
+
 def test_multi_test_threshold_matches_grid(rng, residual_score):
     data = _mt_data(rng, n=5, m=2)
     rule = TopPredictionRule(mu=MU, k=1)
@@ -290,9 +333,20 @@ def test_multi_test_threshold_matches_grid(rng, residual_score):
     perms = sample_permutations(data.n + 1, 30, seed=17)
     dset = multi_test_threshold_set(data, j, rule, residual_score, perms, alpha=0.3)
     grid = np.linspace(-4, 4, 41)
-    mask = multi_test_set_grid(grid, data, j, rule, residual_score, perms, alpha=0.3)
+    mask = [multi_test_pvalue(float(y), data, j, rule, residual_score, perms).exceeds(0.3) for y in grid]
     fast_mask = [dset.contains(float(y), residual_score, data.test_x[j]) for y in grid]
     assert np.array_equal(mask, fast_mask)
+
+
+def test_multi_test_sets_reject_an_index_outside_the_tests(rng, residual_score):
+    data = _mt_data(rng, n=4, m=2)
+    rule = TopPredictionRule(mu=MU, k=1)
+    perms = sample_permutations(data.n + 1, 10, seed=2)
+    for j in (-1, data.m):
+        with pytest.raises(DomainError):
+            multi_test_threshold_set(data, j, rule, residual_score, perms, alpha=0.3)
+        with pytest.raises(DomainError):
+            jomi_multi_test_set(data, j, rule, residual_score, alpha=0.3)
 
 
 def test_multi_test_full_enum_matches_swap_construction(rng, residual_score):

@@ -11,7 +11,7 @@ from pemi.permutations import (
     row_uniforms,
     sample_permutations,
 )
-from pemi.types import DataSequence
+from pemi.types import DataSequence, MultiTestData
 
 from conftest import make_sequence
 
@@ -146,3 +146,39 @@ def test_full_cutoffs_is_read_only_and_checks_the_offline_block():
             no_offline_cutoffs.full_cutoffs()
     with pytest.raises(DomainError):
         permute_with_imputation(no_offline_cutoffs, np.arange(3), y=0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(x=[[NAN], [1.0]]),
+        dict(test_x=[INF]),
+        dict(offline_x=[[NAN]], offline_y=[3.0]),
+        dict(offline_x=[[3.0]], offline_y=[-INF]),
+        dict(cutoffs=[NAN, 0.6], test_cutoff=0.7),
+        dict(cutoffs=[0.5, 0.6], test_cutoff=NAN),
+        dict(offline_x=[[3.0]], offline_y=[3.0], offline_cutoffs=[NAN], cutoffs=[0.5, 0.6], test_cutoff=0.7),
+    ],
+)
+def test_non_finite_sequence_input_is_rejected(bad):
+    kw = dict(x=[[0.0], [1.0]], y=[0.0, 1.0], test_x=[2.0])
+    with pytest.raises(DomainError):
+        DataSequence(**{**kw, **bad})
+
+
+def test_infinite_cutoffs_are_allowed():
+    seq = DataSequence(x=[[0.0], [1.0]], y=[0.0, 1.0], test_x=[2.0], cutoffs=[-INF, 0.6], test_cutoff=INF)
+    assert seq.full_cutoffs().tolist() == [-INF, 0.6, INF]
+
+
+@pytest.mark.parametrize("field", ["calib_x", "calib_y", "test_x"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_non_finite_multi_test_input_is_rejected(field, value):
+    kw = dict(calib_x=[[0.0], [1.0]], calib_y=[0.0, 1.0], test_x=[[2.0], [3.0]])
+    bad = np.array(kw[field], dtype=float)
+    bad.flat[0] = value
+    with pytest.raises(DomainError):
+        MultiTestData(**{**kw, field: bad})

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pemi.scores import AbsoluteResidualScore, LinearModel, QuantileIntervalScore
 from pemi.sets import (
     CutoffPiecewiseSet,
-    FiniteLabelSet,
     IntervalUnionSet,
     ThresholdSet,
 )
@@ -92,13 +91,6 @@ def test_interval_union_measure_clips_to_intervals():
     s = IntervalUnionSet(breakpoints=(2.5,), thresholds=(1.0, 0.0), boundary_included=(False,))
     # sublevel(1.0) = [1.5, 3.5] clipped to (-inf, 2.5); sublevel(0) = {2.5} clipped to (2.5, inf)
     assert s.measure(SCORE, X) == pytest.approx(1.0)
-
-
-def test_finite_label_set():
-    s = FiniteLabelSet(labels=(1.0, 3.0))
-    assert s.contains(1.0) and not s.contains(2.0)
-    assert s.measure() == 0.0
-    assert s.intervals() == ((1.0, 1.0), (3.0, 3.0))
 
 
 def test_linear_model_row_does_not_depend_on_its_batch():
