@@ -1,4 +1,4 @@
-"""CSV ingestion and emission for data streams.
+"""CSV ingestion for data streams.
 
 Schema (header row required, UTF-8, '.' decimal):
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError
 
-__all__ = ["StreamData", "load_dataset", "write_stream"]
+__all__ = ["StreamData", "load_dataset"]
 
 _X_COL = re.compile(r"^x_(\d+)$")
 _F_COL = re.compile(r"^f(\d+)$")
@@ -39,10 +39,6 @@ class StreamData:
     y: np.ndarray
     feature_names: tuple[str, ...]
     cutoffs: np.ndarray | None = None
-
-    @property
-    def has_predictions(self) -> bool:
-        return self.feature_names[0] == "mu_hat"
 
     def __len__(self) -> int:
         return int(self.y.shape[0])
@@ -106,26 +102,3 @@ def load_dataset(path: str | Path) -> StreamData:
         feature_names=feature_names,
         cutoffs=np.asarray(cuts, dtype=float) if has_cut else None,
     )
-
-
-def write_stream(
-    path: str | Path,
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_names: tuple[str, ...] | None = None,
-    cutoffs: np.ndarray | None = None,
-) -> None:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if feature_names is None:
-        feature_names = tuple(f"x_{i}" for i in range(X.shape[1]))
-    header = list(feature_names) + ["y"] + (["c"] if cutoffs is not None else [])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(X.shape[0]):
-            row = [repr(float(v)) for v in X[i]] + [repr(float(y[i]))]
-            if cutoffs is not None:
-                row.append(repr(float(cutoffs[i])))
-            writer.writerow(row)

@@ -30,13 +30,12 @@ from .datasets import StreamData, load_dataset
 from .errors import ConfigurationError, GuardError
 from .generators import GeneratorConfig, TrueMeanModel, feature_dim, generate
 from .metrics import Event, FcrReport, MetricsRow, fcr_report, summarize
-from .oracle import all_orders_sample
+from .oracle import MAX_ENUM_SIZE, all_orders_sample
 from .permutations import sample_permutations
 from .quantiles import inflated_quantile
 from .rules import (
     AlwaysSelectRule,
     ConformalPValueRule,
-    CovariateRule,
     DecisionDrivenRule,
     EarlierOutcomeRule,
     ELondRule,
@@ -111,6 +110,9 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; choose from {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigurationError(f"duplicate methods {repeated}; list each method once")
         if (self.generator is None) == (self.dataset is None):
             raise ConfigurationError("give exactly one of generator / dataset")
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -352,10 +354,6 @@ class ResolvedExperiment:
     score: LastPointScore
     cutoff_value: float | None
 
-    @property
-    def needs_cutoffs(self) -> bool:
-        return isinstance(self.rule, (ConformalPValueRule, ELondRule))
-
 
 def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     gen = _resolve_generator(config.generator) if config.generator is not None else None
@@ -363,25 +361,26 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     rule = _resolve_rule(config.rule, gen, stream)
     score = _resolve_score(config.score, gen, stream)
     cutoff_value = _resolve_cutoff(config.cutoff, gen)
-    res = ResolvedExperiment(config, gen, stream, rule, score, cutoff_value)
-    if res.needs_cutoffs and cutoff_value is None and (stream is None or stream.cutoffs is None):
+    if rule.needs_cutoffs and cutoff_value is None and (stream is None or stream.cutoffs is None):
         raise ConfigurationError("this rule needs cutoffs: configure 'cutoff' or provide a c column")
-    if isinstance(rule, ELondRule) and config.offline_n < 1:
+    if rule.needs_offline and config.offline_n < 1:
         raise ConfigurationError("the e-value rule needs offline_n >= 1")
-    if config.taxonomy_fcr and not isinstance(rule, CovariateRule):
+    if config.taxonomy_fcr and not rule.covariate_only:
         raise ConfigurationError("trajectory-pinned sets are implemented for label-free rules")
     if config.taxonomy_fcr and config.offline_n:
         raise ConfigurationError("trajectory-pinned sets run on plain online sequences")
-    if "pemi_rand" in config.methods and not isinstance(rule, CovariateRule):
+    if "pemi_rand" in config.methods and not rule.covariate_only:
         raise ConfigurationError("pemi_rand has a closed form for label-free rules only")
     if "oracle" in config.methods:
-        if not isinstance(rule, CovariateRule):
+        if not rule.covariate_only:
             raise ConfigurationError("the oracle method supports label-free rules only")
-        if config.offline_n + config.T > 8:
-            raise GuardError("oracle method enumerates all orderings; needs offline_n + T <= 8")
+        if config.offline_n + config.T > MAX_ENUM_SIZE:
+            raise GuardError(
+                f"oracle method enumerates all orderings; needs offline_n + T <= {MAX_ENUM_SIZE}"
+            )
     if stream is not None and config.offline_n + config.T > len(stream):
         raise ConfigurationError("dataset shorter than offline_n + T")
-    return res
+    return ResolvedExperiment(config, gen, stream, rule, score, cutoff_value)
 
 
 def vanilla_set(past_scores: np.ndarray, alpha: float) -> ThresholdSet:
@@ -403,13 +402,13 @@ def _stream_for_rep(res: ResolvedExperiment, rep: int, rng: np.random.Generator)
     n = cfg.offline_n + cfg.T
     if res.gen is not None:
         X, Y = generate(res.gen, n, rng)
-        cuts = np.full(n, res.cutoff_value) if res.needs_cutoffs else None
+        cuts = np.full(n, res.cutoff_value) if res.rule.needs_cutoffs else None
         return X, Y, cuts
     stream = res.stream
     order = np.arange(len(stream)) if rep == 0 else rng.permutation(len(stream))
     order = order[:n]
     cuts = None
-    if res.needs_cutoffs:
+    if res.rule.needs_cutoffs:
         cuts = stream.cutoffs[order] if stream.cutoffs is not None else np.full(n, res.cutoff_value)
     return stream.X[order], stream.y[order], cuts
 
@@ -418,7 +417,7 @@ def _observed_trajectory(res: ResolvedExperiment, X, Y, cuts) -> np.ndarray:
     """Selection decisions s_1..s_T on the observed online stream."""
     cfg = res.config
     n_off = cfg.offline_n
-    if isinstance(res.rule, CovariateRule) and n_off == 0:
+    if res.rule.covariate_only and n_off == 0:
         # the reference decision on each prefix, as the closed form's precondition checks it
         vals = res.rule.point_values(X)
         return np.array([res.rule.select_values(vals[: i + 1]) for i in range(vals.shape[0])])
@@ -478,7 +477,7 @@ def _run_replication(res: ResolvedExperiment, rep: int) -> list[Event]:
                 dset = vanilla_set(point_scores[: t - 1], cfg.alpha)
             elif method == "oracle":
                 full = all_orders_sample(data.n_slots, 1 - n_off, skip_identity=True)
-                dset = fast.covariate_set(data, res.rule, res.score, full, cfg.alpha)
+                dset = fast.covariate_set(data, res.rule, res.score, full, cfg.alpha, taxonomy)
             else:
                 if perms is None:
                     perms = sample_permutations(

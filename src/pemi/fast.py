@@ -319,7 +319,7 @@ def _elond_last_selection(
         counts[:, j] = ((f_off >= fp[:, n_off + j][:, None]) * i_off).sum(axis=1)
     p_minus = counts / (n_off + 1)
     p_plus = (counts + 1) / (n_off + 1)
-    profile = elond_selection_profile(p_minus, p_plus, rule.alpha, rule.gamma, rule.randomize_u)
+    profile = elond_selection_profile(p_minus, p_plus, rule.alpha, rule.gamma)
     return profile[:, -1]
 
 
@@ -347,8 +347,6 @@ def earlier_outcome_set(
     mu_t = mu_points[-1]
     weights = rule.weights(t - 1)
     total = float(weights.sum())
-    if total <= 0:
-        raise ConfigurationError("weights sum to zero")
     if not float(weights @ (data.y > mu_t)) <= rule.beta_sel * total:
         raise PreconditionError("the observed point was not selected")
 
@@ -364,18 +362,20 @@ def earlier_outcome_set(
     w_l = in_prefix @ weights  # weight of the slot holding the test point, 0 if none
     y_perm = full_y[P[:, :-1]]
     base = ((y_perm > mu_last[:, None]) * weights).sum(axis=1)  # NaN test slot drops out
-    p0 = base / total
-    p1 = (base + w_l) / total
+    # the rule's own comparison w @ ind <= beta_sel * W, without and with the imputed label's weight
+    bar = rule.beta_sel * total
+    sel0 = base <= bar
+    sel1 = base + w_l <= bar
     stay = last == test_slot
-    sel_stay = stay & (p0 <= rule.beta_sel)
+    sel_stay = stay & sel0
 
     thresholds = []
     for j in range(t):
         mask = sel_stay.copy()
         if j >= 1:
-            mask |= ~stay & (mu_last <= breakpoints[j - 1]) & (p1 <= rule.beta_sel)
+            mask |= ~stay & (mu_last <= breakpoints[j - 1]) & sel1
         if j <= t - 2:
-            mask |= ~stay & (mu_last >= breakpoints[j]) & (p0 <= rule.beta_sel)
+            mask |= ~stay & (mu_last >= breakpoints[j]) & sel0
         thresholds.append(_calibration(point_scores, perms, mask).threshold(alpha).threshold)
 
     included = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,24 +37,22 @@ __all__ = [
 MAX_ENUM_SIZE = 8
 
 
-def _guard(n: int, max_size: int) -> None:
-    if n > max_size:
+def _guard(n: int) -> None:
+    if n > MAX_ENUM_SIZE:
         raise GuardError(
             f"full enumeration of {n}! = {math.factorial(n)} permutations exceeds the cap "
-            f"({max_size}); raise max_size explicitly if you really want this"
+            f"of {MAX_ENUM_SIZE} points"
         )
-    if n > MAX_ENUM_SIZE:
-        warnings.warn(f"enumerating {math.factorial(n)} permutations; this may be slow")
 
 
-def iter_all_orders(n: int, max_size: int = MAX_ENUM_SIZE) -> Iterator[tuple[int, ...]]:
+def iter_all_orders(n: int) -> Iterator[tuple[int, ...]]:
     """All n! slot orders in lexicographic order."""
-    _guard(n, max_size)
+    _guard(n)
     return itertools.permutations(range(n))
 
 
 def all_orders_sample(
-    n_points: int, index_start: int = 1, max_size: int = MAX_ENUM_SIZE, skip_identity: bool = False
+    n_points: int, index_start: int = 1, skip_identity: bool = False
 ) -> PermutationSample:
     """The complete permutation set packaged like a Monte-Carlo sample.
 
@@ -63,7 +60,7 @@ def all_orders_sample(
     set semantics of exhaustive reference sets: downstream p-values append
     the identity exactly once themselves.
     """
-    _guard(n_points, max_size)
+    _guard(n_points)
     rows = [o for o in itertools.permutations(range(n_points))]
     if skip_identity:
         rows = [o for o in rows if o != tuple(range(n_points))]
@@ -80,12 +77,11 @@ def full_pemi_pvalue(
     data: DataSequence,
     rule: SelectionRule,
     score: ConformityScore,
-    max_size: int = MAX_ENUM_SIZE,
 ) -> SelectionPValue:
     """Exact p-value with the reference set drawn from all t! orderings."""
     from .engine import pemi_pvalue
 
-    perms = all_orders_sample(data.n_slots, 1 - data.n_offline, max_size, skip_identity=True)
+    perms = all_orders_sample(data.n_slots, 1 - data.n_offline, skip_identity=True)
     return pemi_pvalue(y, data, rule, score, perms)
 
 
@@ -95,11 +91,10 @@ def full_pemi_set_grid(
     rule: SelectionRule,
     score: ConformityScore,
     alpha: float,
-    max_size: int = MAX_ENUM_SIZE,
 ) -> np.ndarray:
     from .engine import pemi_set_grid
 
-    perms = all_orders_sample(data.n_slots, 1 - data.n_offline, max_size, skip_identity=True)
+    perms = all_orders_sample(data.n_slots, 1 - data.n_offline, skip_identity=True)
     return pemi_set_grid(grid, data, rule, score, perms, alpha)
 
 
@@ -107,7 +102,6 @@ def permutation_fcp_pvalue(
     y: float,
     data: DataSequence,
     score: ConformityScore,
-    max_size: int = MAX_ENUM_SIZE,
 ) -> float:
     """Unrestricted permutation-test p-value of the imputed sequence:
     the fraction of all orderings whose score reaches the identity's.
@@ -116,7 +110,7 @@ def permutation_fcp_pvalue(
     collapses to the classic rank form (1 + #{v_i >= v_t}) / t.
     """
     n = data.n_slots
-    _guard(n, max_size)
+    _guard(n)
     full_x = data.full_x()
     full_y = data.full_y()
     full_y = np.where(np.isnan(full_y), y, full_y)

@@ -45,27 +45,15 @@ __all__ = [
 ]
 
 
-def recency_weights(
-    n: int, decay: float | None, weight_fn: Callable[[int, int], float] | None = None
-) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def recency_weights(n: int, decay: float | None) -> np.ndarray:
     """Slot weights w_1..w_n; geometric decay gives w_i = decay^(n-i).
 
-    Equal weights when both parameters are None.  Only weight ratios ever
-    matter downstream, so anchoring the geometric profile at the last slot
-    keeps magnitudes bounded.  Without ``weight_fn`` the result is
-    read-only and shared between calls with equal ``(n, decay)``; a
-    ``weight_fn`` is called afresh every time.
+    Equal weights when ``decay`` is None.  Only weight ratios ever matter
+    downstream, so anchoring the geometric profile at the last slot keeps
+    magnitudes bounded.  The result is read-only and shared between calls
+    with equal ``(n, decay)``.
     """
-    if weight_fn is None:
-        return _profile_weights(n, decay)
-    w = np.array([weight_fn(i, n) for i in range(1, n + 1)], dtype=float)
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
-    return w
-
-
-@functools.lru_cache(maxsize=256)
-def _profile_weights(n: int, decay: float | None) -> np.ndarray:
     if decay is None:
         w = np.ones(n)
     else:
@@ -77,9 +65,16 @@ def _profile_weights(n: int, decay: float | None) -> np.ndarray:
 
 
 class SelectionRule(abc.ABC):
-    """Deterministic map from an ordered sequence to a select/skip bit."""
+    """Deterministic map from an ordered sequence to a select/skip bit.
+
+    Class constants state what a rule family needs: ``covariate_only``
+    (the decision never reads labels), ``needs_cutoffs`` (every point
+    carries a cutoff) and ``needs_offline`` (a non-empty offline block).
+    """
 
     covariate_only: ClassVar[bool] = False
+    needs_cutoffs: ClassVar[bool] = False
+    needs_offline: ClassVar[bool] = False
 
     @abc.abstractmethod
     def select(self, seq: OrderedSequence) -> bool: ...
@@ -199,7 +194,6 @@ class WeightedPredictionRule(CovariateRule):
     mode: str = "quantile"
     q_sel: float = 0.1
     decay: float | None = None
-    weight_fn: Callable[[int, int], float] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("quantile", "average"):
@@ -210,17 +204,12 @@ class WeightedPredictionRule(CovariateRule):
     def point_values(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.mu(X), dtype=float)
 
-    def _weights(self, n_past: int) -> np.ndarray:
-        return recency_weights(n_past, self.decay, self.weight_fn)
-
     def select_values(self, values: np.ndarray) -> bool:
         past, v_t = values[:-1], values[-1]
         if past.shape[0] == 0:
             return False
-        w = self._weights(past.shape[0])
+        w = recency_weights(past.shape[0], self.decay)
         total = w.sum()
-        if total <= 0:
-            raise ConfigurationError("past weights sum to zero")
         if self.mode == "average":
             return bool(v_t > float(w @ past) / total)
         return bool(float(w @ (past < v_t)) >= (1 - self.q_sel) * total)
@@ -229,10 +218,8 @@ class WeightedPredictionRule(CovariateRule):
         past, v_t = values[:, :-1], values[:, -1:]
         if past.shape[1] == 0:
             return np.zeros(values.shape[0], dtype=bool)
-        w = self._weights(past.shape[1])
+        w = recency_weights(past.shape[1], self.decay)
         total = w.sum()
-        if total <= 0:
-            raise ConfigurationError("past weights sum to zero")
         if self.mode == "average":
             return (past @ w) / total < v_t[:, 0]
         return (past < v_t) @ w >= (1 - self.q_sel) * total
@@ -357,10 +344,11 @@ class ConformalPValueRule(SelectionRule):
     f_score: Callable[[np.ndarray, np.ndarray], np.ndarray]
     engine: ThresholdEngine
     decay: float | None = None
-    weight_fn: Callable[[int, int], float] | None = None
+
+    needs_cutoffs: ClassVar[bool] = True
 
     def weights(self, n: int) -> np.ndarray:
-        return recency_weights(n, self.decay, self.weight_fn)
+        return recency_weights(n, self.decay)
 
     def pvalue_history(self, seq: OrderedSequence) -> np.ndarray:
         fhat, ind = _sequence_fhat_indicators(seq, self.f_score)
@@ -392,7 +380,9 @@ class ELondRule(SelectionRule):
     f_score: Callable[[np.ndarray, np.ndarray], np.ndarray]
     alpha: float
     gamma: Callable[[int], float] = default_gamma
-    randomize_u: tuple[float, ...] | None = None
+
+    needs_cutoffs: ClassVar[bool] = True
+    needs_offline: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
@@ -412,9 +402,7 @@ class ELondRule(SelectionRule):
 
     def selections(self, seq: OrderedSequence) -> np.ndarray:
         p_minus, p_plus = self._streams(seq)
-        return elond_selection_profile(
-            p_minus, p_plus, self.alpha, self.gamma, self.randomize_u
-        )
+        return elond_selection_profile(p_minus, p_plus, self.alpha, self.gamma)
 
     def select(self, seq: OrderedSequence) -> bool:
         return bool(self.selections(seq)[-1])
@@ -428,7 +416,6 @@ def elond_selection_profile(
     p_plus: np.ndarray,
     alpha: float,
     gamma: Callable[[int], float],
-    randomize_u: tuple[float, ...] | None = None,
 ) -> np.ndarray:
     """Selections of the e-value procedure given both leave-one-out streams.
 
@@ -450,8 +437,6 @@ def elond_selection_profile(
         lvl_plus = alpha * g[i] * (rej_plus + 1)
         evalue = (pp[:, i] <= lvl_plus) / lvl_minus
         bar = 1.0 / (alpha * g[i] * (picked + 1))
-        if randomize_u is not None:
-            bar = bar * randomize_u[i]
         out[:, i] = evalue >= bar
         picked += out[:, i]
         rej_minus += pm[:, i] <= lvl_minus
@@ -468,14 +453,13 @@ class EarlierOutcomeRule(SelectionRule):
     mu: ModelFn
     beta_sel: float
     decay: float | None = None
-    weight_fn: Callable[[int, int], float] | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.beta_sel < 1:
             raise ConfigurationError(f"beta_sel must be in (0,1), got {self.beta_sel}")
 
     def weights(self, n_past: int) -> np.ndarray:
-        return recency_weights(n_past, self.decay, self.weight_fn)
+        return recency_weights(n_past, self.decay)
 
     def select(self, seq: OrderedSequence) -> bool:
         if seq.prefix_y.shape[0] == 0:
@@ -483,8 +467,6 @@ class EarlierOutcomeRule(SelectionRule):
         mu_t = float(self.mu(seq.final_x.reshape(1, -1))[0])
         w = self.weights(seq.prefix_y.shape[0])
         total = w.sum()
-        if total <= 0:
-            raise ConfigurationError("weights sum to zero")
         return bool(float(w @ (seq.prefix_y > mu_t)) <= self.beta_sel * total)
 
 
@@ -520,7 +502,3 @@ class SelectionTaxonomy:
     @staticmethod
     def singleton(trajectory: Sequence[int]) -> "SelectionTaxonomy":
         return SelectionTaxonomy(trajectories=frozenset({tuple(int(v) for v in trajectory)}))
-
-    @staticmethod
-    def everything() -> "SelectionTaxonomy":
-        return SelectionTaxonomy()

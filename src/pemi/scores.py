@@ -19,7 +19,6 @@ __all__ = [
     "ConformityScore",
     "LastPointScore",
     "AbsoluteResidualScore",
-    "QuantileIntervalScore",
     "LinearModel",
     "fit_linear_model",
 ]
@@ -109,36 +108,6 @@ class AbsoluteResidualScore(LastPointScore):
             return ((-math.inf, math.inf),)
         mu = float(self.model(np.asarray(x).reshape(1, -1))[0])
         return ((mu - tau, mu + tau),)
-
-
-@dataclass(frozen=True)
-class QuantileIntervalScore(LastPointScore):
-    """v(x, y) = max(lo(x) - y, y - hi(x)); CQR-style interval score."""
-
-    lower_model: ModelFn
-    upper_model: ModelFn
-
-    def of_point(self, x: np.ndarray, y: float) -> float:
-        x2 = np.asarray(x).reshape(1, -1)
-        lo = float(self.lower_model(x2)[0])
-        hi = float(self.upper_model(x2)[0])
-        return max(lo - y, y - hi)
-
-    def of_points(self, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if X.shape[0] == 0:
-            return np.empty(0)
-        ys = np.asarray(ys, dtype=float)
-        return np.maximum(self.lower_model(X) - ys, ys - self.upper_model(X))
-
-    def sublevel(self, x: np.ndarray, tau: float) -> Intervals:
-        if math.isnan(tau):
-            return ()
-        if math.isinf(tau):
-            return ((-math.inf, math.inf),) if tau > 0 else ()
-        x2 = np.asarray(x).reshape(1, -1)
-        lo = float(self.lower_model(x2)[0]) - tau
-        hi = float(self.upper_model(x2)[0]) + tau
-        return ((lo, hi),) if lo <= hi else ()
 
 
 def score_each_point(score: LastPointScore, X: np.ndarray, ys: np.ndarray) -> np.ndarray:

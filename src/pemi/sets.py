@@ -11,14 +11,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .scores import Intervals, LastPointScore
 
 __all__ = [
-    "PredictionSet",
     "ThresholdSet",
     "CutoffPiecewiseSet",
     "IntervalUnionSet",
@@ -37,13 +35,6 @@ def _clip(intervals: Intervals, lo: float, hi: float) -> Intervals:
         if a2 <= b2:
             out.append((a2, b2))
     return tuple(out)
-
-
-@runtime_checkable
-class PredictionSet(Protocol):
-    def contains(self, y: float, score: LastPointScore, x: np.ndarray) -> bool: ...
-    def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals: ...
-    def measure(self, score: LastPointScore, x: np.ndarray) -> float: ...
 
 
 @dataclass(frozen=True)

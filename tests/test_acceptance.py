@@ -55,9 +55,6 @@ def test_criterion_1_oracle_equivalence(report):
         seed=20250810,
         grid_points=100,
         full_enum=True,
-        t_choices=(3, 4, 5, 6, 7),
-        m_choices=(0, 5, 20),
-        full_enum_max_t=5,
     )
     elapsed = time.time() - t0
     assert battery.mismatches == 0, battery.lines

@@ -6,6 +6,7 @@ import pytest
 
 from pemi.cli import main
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 CONFIG = """
 T: 4
@@ -30,6 +31,15 @@ def test_run_subcommand(tmp_path, capsys):
     assert (out / "metrics.csv").exists()
     payload = json.loads((out / "summary.json").read_text())
     assert payload["config"]["seed"] == 11
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_every_shipped_config_runs(tmp_path, config):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(config), "--N", "2", "--T", "5", "--M", "5", "--out", str(out)])
+    assert rc == 0
+    for name in ("events.csv", "metrics.csv", "summary.json"):
+        assert (out / name).exists()
 
 
 def test_cli_overrides_win(tmp_path):
@@ -120,6 +130,20 @@ def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
 
 
 @pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("rule: {name: conformal_pvalue, q: 0.3}", "this rule needs cutoffs"),
+        ("rule: {name: elond}\ncutoff: {value: 5.0}", "the e-value rule needs offline_n >= 1"),
+    ],
+)
+def test_rule_input_missing_from_the_config_is_a_config_error(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CONFIG.replace("rule: {name: always}", entry))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "entry, named",
     [
         ("cutoff: 0.7", "'cutoff'"),
@@ -137,6 +161,7 @@ def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
         ("rule: {name: conformal_pvalue, test_alpha: 5.0}\ncutoff: {value: 0.0}", "alpha"),
         ("rule: {name: elond, test_alpha: 5.0}\ncutoff: {value: 0.0}\noffline_n: 5", "alpha"),
         ("score: {name: abs_residual, model: {name: linear_fit, train_n: 0}}", "'train_n'"),
+        ("methods: [pemi_det, vanilla, pemi_det]", "duplicate methods ['pemi_det']"),
     ],
 )
 def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, entry, named):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pemi.datasets import load_dataset, write_stream
+from pemi.datasets import load_dataset
 from pemi.errors import ParseError, SchemaError
 
 
@@ -10,7 +10,7 @@ def test_minimal_prediction_file(tmp_path):
     path.write_text("mu_hat,y\n1.5,2.0\n-0.5,0.25\n")
     data = load_dataset(path)
     assert len(data) == 2
-    assert data.has_predictions
+    assert data.feature_names == ("mu_hat",)
     assert data.X[:, 0].tolist() == [1.5, -0.5]
     assert data.y.tolist() == [2.0, 0.25]
 
@@ -56,7 +56,8 @@ def test_round_trip(tmp_path):
     y = rng.normal(size=7)
     c = rng.normal(size=7)
     path = tmp_path / "str.csv"
-    write_stream(path, X, y, cutoffs=c)
+    rows = [",".join(repr(float(v)) for v in (*X[i], y[i], c[i])) for i in range(7)]
+    path.write_text("x_0,x_1,x_2,y,c\n" + "\n".join(rows) + "\n")
     back = load_dataset(path)
     assert np.array_equal(back.X, X)
     assert np.array_equal(back.y, y)

@@ -214,7 +214,7 @@ def test_taxonomy_everything_equals_plain(rng, residual_score):
     perms = sample_permutations(5, 24, seed=8)
     for y in (-0.7, 0.0, 1.3):
         plain = pemi_pvalue(y, data, rule, residual_score, perms)
-        tax = pemi_pvalue(y, data, rule, residual_score, perms, SelectionTaxonomy.everything())
+        tax = pemi_pvalue(y, data, rule, residual_score, perms, SelectionTaxonomy())
         # the everything-taxonomy only adds the constraint S_t = 1, already there
         assert tax == plain
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pemi import fast
 from pemi.errors import ConfigurationError
 from pemi.experiment import (
     ExperimentConfig,
@@ -14,6 +15,9 @@ from pemi.experiment import (
     vanilla_set,
     write_outputs,
 )
+from pemi.oracle import all_orders_sample
+from pemi.rules import SelectionTaxonomy
+from pemi.types import DataSequence
 
 
 def test_vanilla_set_rank_examples():
@@ -192,3 +196,44 @@ def test_workers_do_not_change_results():
     r1 = run_experiment(cfg1)
     r2 = run_experiment(cfg2)
     assert r1.events == r2.events
+
+
+def test_oracle_method_honours_the_taxonomy(tmp_path):
+    """With ``taxonomy_fcr`` the oracle sets pin the observed trajectory
+    like the sampled ones: each equals the all-orderings covariate set
+    under the singleton taxonomy, which here differs from the plain one."""
+    mu = [2.5, 2.6, 0.7, 0.7, 1.5, 2.3]
+    y = [4.0, 1.4, 1.5, 2.6, 1.9, 3.9]
+    path = tmp_path / "stream.csv"
+    path.write_text("mu_hat,y\n" + "".join(f"{m},{v}\n" for m, v in zip(mu, y)))
+    model = {"name": "column", "index": 0}
+    cfg = ExperimentConfig.from_dict(
+        dict(
+            T=6,
+            N=1,  # the first replication reads the dataset in file order
+            alpha=0.3,
+            M=5,
+            seed=3,
+            rule={"name": "decision_driven", "tau0": 2, "tau1": 0.5, "model": model},
+            score={"name": "abs_residual", "model": model},
+            methods=["oracle"],
+            dataset=str(path),
+            taxonomy_fcr=True,
+        )
+    )
+    res = resolve_experiment(cfg)
+    X, Y = res.stream.X, res.stream.y
+    traj = [res.rule.select_values(res.rule.point_values(X[:t])) for t in range(1, 7)]
+    events = run_experiment(cfg).events
+    assert [e.t for e in events] == [t for t in range(1, 7) if traj[t - 1]]
+    differs = 0
+    for e in events:
+        data = DataSequence(x=X[: e.t - 1], y=Y[: e.t - 1], test_x=X[e.t - 1])
+        full = all_orders_sample(e.t, 1, skip_identity=True)
+        taxonomy = SelectionTaxonomy.singleton(traj[: e.t])
+        want = fast.covariate_set(data, res.rule, res.score, full, cfg.alpha, taxonomy)
+        assert e.covered == int(want.contains(float(Y[e.t - 1]), res.score, X[e.t - 1]))
+        assert e.size == want.measure(res.score, X[e.t - 1])
+        plain = fast.covariate_set(data, res.rule, res.score, full, cfg.alpha)
+        differs += plain.measure(res.score, X[e.t - 1]) != e.size
+    assert differs

@@ -263,6 +263,29 @@ def test_earlier_outcome_uninformative_selection_collapses(rng, residual_score):
     pytest.skip("no fully uninformative draw found")
 
 
+def test_earlier_outcome_selection_compares_like_the_rule():
+    """62 of 90 past labels above the test prediction with beta_sel = 0.7:
+    a moved-in row counting 63 of 90 re-selects under the rule's
+    ``63 <= 0.7 * 90`` but not under ``63 / 90 <= 0.7``, which rounds the
+    other way.  The closed form must decide as the rule does; the labels
+    sit inside the open intervals between the past predictions, where it
+    decides without the engine."""
+    mu = LinearModel(intercept=0.0, coef=(1.0,))
+    score = AbsoluteResidualScore(model=mu)
+    data = DataSequence(
+        x=np.arange(90, dtype=float).reshape(-1, 1),
+        y=np.where(np.arange(90) < 28, -100.0, 100.0),
+        test_x=np.array([0.0]),
+    )
+    rule = EarlierOutcomeRule(mu=mu, beta_sel=0.7)
+    perms = sample_permutations(91, 2000, seed=5)
+    grid = np.arange(0.5, 100.0, 4.0)
+    dset = fast.earlier_outcome_set(data, rule, score, perms, alpha=0.4)
+    generic = pemi_set_grid(grid, data, rule, score, perms, 0.4)
+    mine = [dset.contains(float(y), score, data.test_x) for y in grid]
+    assert np.array_equal(generic, mine)
+
+
 def test_earlier_outcome_t1_everything(residual_score):
     data = DataSequence(x=np.zeros((0, 2)), y=np.zeros(0), test_x=[1.0, 2.0])
     rule = EarlierOutcomeRule(mu=MU, beta_sel=0.3)

@@ -37,7 +37,7 @@ def test_guard_error():
     with pytest.raises(GuardError):
         list(iter_all_orders(9))
     with pytest.raises(GuardError):
-        all_orders_sample(11, max_size=10)
+        all_orders_sample(9)
 
 
 def test_t1_pvalue_is_one(residual_score):

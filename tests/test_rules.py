@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -268,7 +267,7 @@ def test_elond_first_step_reduction(rng):
 def test_taxonomy_membership():
     tax = SelectionTaxonomy.singleton((1, 0, 1))
     assert tax.contains((1, 0, 1)) and not tax.contains((1, 1, 1))
-    assert SelectionTaxonomy.everything().contains((0, 0))
+    assert SelectionTaxonomy().contains((0, 0))
     odd = SelectionTaxonomy(predicate=lambda s: sum(s) % 2 == 1)
     assert odd.contains((1, 0)) and not odd.contains((1, 1))
 
@@ -276,7 +275,6 @@ def test_taxonomy_membership():
 def test_recency_weights():
     assert np.allclose(recency_weights(3, None), [1, 1, 1])
     assert np.allclose(recency_weights(3, 0.5), [0.25, 0.5, 1.0])
-    assert np.allclose(recency_weights(2, None, weight_fn=lambda i, n: i), [1.0, 2.0])
     with pytest.raises(ConfigurationError):
         recency_weights(3, -1.0)
 
@@ -290,46 +288,12 @@ def test_recency_weights_are_shared_read_only_and_checked_on_every_call():
     for _ in range(2):
         with pytest.raises(ConfigurationError):
             recency_weights(3, -1.0)
-        with pytest.raises(ConfigurationError):
-            recency_weights(3, None, _negative_weight)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
 def test_elond_alpha_outside_unit_interval_rejected(alpha):
     with pytest.raises(ConfigurationError):
         ELondRule(f_score=lambda X, c: X[:, 0] - c, alpha=alpha)
-
-
-def _negative_weight(i, n):
-    return -1.0
-
-
-class _Scaled:
-    """A weight function with a mutable attribute, hashable by identity."""
-
-    def __init__(self, slope):
-        self.slope = slope
-
-    def __call__(self, i, n):
-        return self.slope * i
-
-
-@dataclass
-class _Ramp:
-    """A weight function with ``__eq__`` but no hash."""
-
-    slope: float
-
-    def __call__(self, i, n):
-        return self.slope * i
-
-
-@pytest.mark.parametrize("weight_class", [_Scaled, _Ramp])
-def test_weight_fn_is_called_afresh_every_time(weight_class):
-    fn = weight_class(1.0)
-    assert recency_weights(3, None, fn).tolist() == [1.0, 2.0, 3.0]
-    fn.slope = 2.0
-    assert recency_weights(3, None, fn).tolist() == [2.0, 4.0, 6.0]
 
 
 # -- batch/scalar agreement ---------------------------------------------------

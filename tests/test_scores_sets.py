@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pemi.scores import AbsoluteResidualScore, LinearModel, QuantileIntervalScore
+from pemi.scores import AbsoluteResidualScore, LinearModel
 from pemi.sets import (
     CutoffPiecewiseSet,
     IntervalUnionSet,
@@ -21,18 +21,6 @@ X = np.array([1.0])  # prediction = 2.5
 def test_sublevel_is_exactly_the_sublevel_set(y, tau):
     inside = any(lo <= y <= hi for lo, hi in SCORE.sublevel(X, tau))
     assert inside == (SCORE.of_point(X, y) <= tau)
-
-
-def test_quantile_interval_score_sublevel():
-    score = QuantileIntervalScore(
-        lower_model=LinearModel(0.0, (1.0,)), upper_model=LinearModel(1.0, (1.0,))
-    )
-    x = np.array([2.0])  # band [2, 3]
-    assert score.of_point(x, 2.5) == -0.5
-    assert score.sublevel(x, 0.5) == ((1.5, 3.5),)
-    for y in (1.5, 2.0, 3.49, 3.51):
-        inside = any(lo <= y <= hi for lo, hi in score.sublevel(x, 0.5))
-        assert inside == (score.of_point(x, y) <= 0.5)
 
 
 def test_threshold_set_membership_and_measure():
