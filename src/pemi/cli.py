@@ -9,8 +9,10 @@ Subcommands:
                    instances;
 * ``report``       recompute the per-time metrics from an event log.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (and 1 for an
-oracle-check mismatch).
+Exit codes: 0 success, 2 configuration error, 3 data error, and 1 for an
+oracle-check mismatch or an internal error: a failed precondition, such
+as a closed form finding unselected a point the observed trajectory
+selected.
 """
 
 from __future__ import annotations
@@ -21,9 +23,17 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigurationError, DomainError, GuardError, ParseError, SchemaError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    GuardError,
+    ParseError,
+    PreconditionError,
+    SchemaError,
+)
 from .experiment import ExperimentConfig, recompute_metrics, run_experiment, write_outputs
 
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
@@ -135,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, ParseError, DomainError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
+    except PreconditionError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -365,6 +365,8 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
         raise ConfigurationError("this rule needs cutoffs: configure 'cutoff' or provide a c column")
     if rule.needs_offline and config.offline_n < 1:
         raise ConfigurationError("the e-value rule needs offline_n >= 1")
+    if rule.online_only and config.offline_n:
+        raise ConfigurationError("this rule runs on online slots only: offline_n must be 0")
     if config.taxonomy_fcr and not rule.covariate_only:
         raise ConfigurationError("trajectory-pinned sets are implemented for label-free rules")
     if config.taxonomy_fcr and config.offline_n:

@@ -40,7 +40,6 @@ from .rules import (
     SelectionRule,
     SelectionTaxonomy,
     elond_selection_profile,
-    weighted_pvalue_history,
 )
 from .scores import LastPointScore, score_each_point
 from .sets import CutoffPiecewiseSet, IntervalUnionSet, ThresholdSet
@@ -225,10 +224,11 @@ def conformal_pvalue_set(
 ) -> CutoffPiecewiseSet:
     """Two-threshold set for p-value-threshold selection.
 
-    For each side of the test cutoff the whole permuted p-value history is
-    rebuilt with the imputed indicator fixed to that side, the adaptive
-    level is replayed on it, and the usual quantile calibration applies to
-    the permutations that re-select.
+    For each side of the test cutoff the permuted p-values are rebuilt
+    with the imputed indicator fixed to that side, and the usual quantile
+    calibration applies to the permutations that re-select.  An adaptive
+    level is replayed on the whole p-value history; a level that reads no
+    history needs only the last p-value (``ConformalPValueRule.selects_last``).
     """
     if data.cutoffs is None or data.test_cutoff is None:
         raise ConfigurationError("p-value selection needs per-point cutoffs")
@@ -240,23 +240,17 @@ def conformal_pvalue_set(
     fhat = np.asarray(rule.f_score(data.full_x(), full_c), dtype=float)
     ind_true = np.zeros(t)
     ind_true[: t - 1] = data.y <= data.cutoffs
-    weights = rule.weights(t)
 
-    # precondition: the observed point was selected
-    p_obs = weighted_pvalue_history(fhat, ind_true, weights)
-    if not p_obs[-1] <= rule.engine.alphas(p_obs)[-1]:
+    if not rule.selects_last(fhat, ind_true):
         raise PreconditionError("the observed point was not selected")
 
     point_scores = score_each_point(score, data.full_x(), data.full_y())
+    fp = fhat[perms.matrix]
     q = {}
     for k in (0, 1):
         ind = ind_true.copy()
         ind[t - 1] = k
-        fp = fhat[perms.matrix]
-        ip = ind[perms.matrix]
-        pvals = weighted_pvalue_history(fp, ip, weights)
-        alphas = rule.engine.alphas_batch(pvals)
-        sel = pvals[:, -1] <= alphas[:, -1]
+        sel = rule.selects_last(fp, ind[perms.matrix])
         q[k] = _calibration(point_scores, perms, sel).threshold(alpha).threshold
     return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
 

@@ -48,17 +48,25 @@ def row_uniforms(seed: int, n_points: int, i: int) -> np.ndarray:
 
 
 def _fisher_yates_rows(uniforms: np.ndarray, n_points: int) -> np.ndarray:
-    """Shuffle ``arange(n_points)`` per row; step k uses column n-1-k."""
+    """Shuffle ``arange(n_points)`` per row; step k uses column n-1-k.
+
+    All swap targets are drawn up front and the shuffle runs slot-major
+    (entry ``k * m + r`` holds slot k of row r), so each step swaps one
+    contiguous block of ``m`` entries with a gather, then transposes once.
+    """
     m = uniforms.shape[0]
-    perms = np.tile(np.arange(n_points, dtype=np.int64), (m, 1))
-    rows = np.arange(m)
-    for k in range(n_points - 1, 0, -1):
-        j = (uniforms[:, n_points - 1 - k] * (k + 1)).astype(np.int64)
-        np.minimum(j, k, out=j)  # guard the u -> 1.0 rounding corner
-        col_k = perms[rows, k].copy()
-        perms[rows, k] = perms[rows, j]
-        perms[rows, j] = col_k
-    return perms
+    ks = np.arange(n_points - 1, 0, -1)
+    swaps = (uniforms[:, : n_points - 1] * (ks + 1)).astype(np.int64)
+    np.minimum(swaps, ks, out=swaps)  # guard the u -> 1.0 rounding corner
+    targets = swaps.T * m + np.arange(m)
+    slots = np.repeat(np.arange(n_points, dtype=np.int64), m)
+    for step, k in enumerate(ks.tolist()):
+        block = slice(k * m, (k + 1) * m)
+        j = targets[step]
+        held = slots[block].copy()
+        slots[block] = slots[j]
+        slots[j] = held
+    return np.ascontiguousarray(slots.reshape(n_points, m).T)
 
 
 def sample_permutations(

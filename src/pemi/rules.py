@@ -69,12 +69,14 @@ class SelectionRule(abc.ABC):
 
     Class constants state what a rule family needs: ``covariate_only``
     (the decision never reads labels), ``needs_cutoffs`` (every point
-    carries a cutoff) and ``needs_offline`` (a non-empty offline block).
+    carries a cutoff), ``needs_offline`` (a non-empty offline block) and
+    ``online_only`` (no offline block).
     """
 
     covariate_only: ClassVar[bool] = False
     needs_cutoffs: ClassVar[bool] = False
     needs_offline: ClassVar[bool] = False
+    online_only: ClassVar[bool] = False
 
     @abc.abstractmethod
     def select(self, seq: OrderedSequence) -> bool: ...
@@ -302,25 +304,37 @@ def weighted_pvalue_history(
     hypothetical carries the caller's imputed bit.  Works on (T,) vectors
     and (R, T) batches alike.
     """
+    f, wi, w, denom = _pvalue_operands(fhat, indicators, weights)
+    out = np.empty_like(f)
+    for j in range(f.shape[-1]):
+        out[..., j] = _pvalue_column(f, wi, w, denom, j)
+    return out
+
+
+def _pvalue_operands(
+    fhat: np.ndarray, indicators: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     f = np.asarray(fhat, dtype=float)
     ind = np.asarray(indicators, dtype=float)
     w = np.asarray(weights, dtype=float)
-    T = f.shape[-1]
-    if w.shape != (T,):
+    if w.shape != (f.shape[-1],):
         raise DomainError("need one weight per slot")
     denom = np.cumsum(w)
     if denom[-1] <= 0:
         raise DomainError("total weight must be positive")
-    out = np.empty_like(f)
-    wi = w * ind
-    for j in range(T):
-        if j == 0:
-            num = w[0] * np.ones(f.shape[:-1])
-        else:
-            exceed = f[..., :j] >= f[..., j : j + 1]
-            num = w[j] + np.sum(wi[..., :j] * exceed, axis=-1)
-        out[..., j] = num / denom[j]
-    return out
+    return f, w * ind, w, denom
+
+
+def _pvalue_column(
+    f: np.ndarray, wi: np.ndarray, w: np.ndarray, denom: np.ndarray, j: int
+) -> np.ndarray:
+    """Column ``j`` of ``weighted_pvalue_history``; the one place its p-value is computed."""
+    if j == 0:
+        num = w[0] * np.ones(f.shape[:-1])
+    else:
+        exceed = f[..., :j] >= f[..., j : j + 1]
+        num = w[j] + np.sum(wi[..., :j] * exceed, axis=-1)
+    return num / denom[j]
 
 
 def _sequence_fhat_indicators(
@@ -346,23 +360,28 @@ class ConformalPValueRule(SelectionRule):
     decay: float | None = None
 
     needs_cutoffs: ClassVar[bool] = True
+    online_only: ClassVar[bool] = True
 
     def weights(self, n: int) -> np.ndarray:
         return recency_weights(n, self.decay)
 
-    def pvalue_history(self, seq: OrderedSequence) -> np.ndarray:
-        fhat, ind = _sequence_fhat_indicators(seq, self.f_score)
-        return weighted_pvalue_history(fhat, ind, self.weights(fhat.shape[0]))
+    def selects_last(self, fhat: np.ndarray, indicators: np.ndarray) -> np.ndarray:
+        """Whether the last slot is selected, on one (T,) history or on every
+        row of an (R, T) batch.  When the engine's last level does not read
+        the earlier p-values, only the last p-value is computed."""
+        T = fhat.shape[-1]
+        weights = self.weights(T)
+        level = self.engine.history_free_level(T)
+        if level is not None:
+            return _pvalue_column(*_pvalue_operands(fhat, indicators, weights), T - 1) <= level
+        p = weighted_pvalue_history(fhat, indicators, weights)
+        alphas = self.engine.alphas(p) if p.ndim == 1 else self.engine.alphas_batch(p)
+        return p[..., -1] <= alphas[..., -1]
 
     def select(self, seq: OrderedSequence) -> bool:
         if seq.n_offline:
             raise ConfigurationError("p-value thresholding runs on online slots only")
-        p = self.pvalue_history(seq)
-        return bool(p[-1] <= self.engine.alphas(p)[-1])
-
-    def trajectory(self, seq: OrderedSequence) -> tuple[int, ...]:
-        p = self.pvalue_history(seq)
-        return tuple(int(v) for v in (p <= self.engine.alphas(p)))
+        return bool(self.selects_last(*_sequence_fhat_indicators(seq, self.f_score)))
 
 
 @dataclass(frozen=True)

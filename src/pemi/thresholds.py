@@ -11,6 +11,9 @@ Two engines are provided: a fixed level and the discovery-count (LOND)
 procedure, whose per-step level is ``lond_threshold`` with the summable
 ``default_gamma`` weights.  Each engine has a scalar ``alphas`` and a
 row-batched ``alphas_batch``; the closed forms call the batched one.
+An engine whose level at a step reads no earlier p-value says so through
+``history_free_level``, so a caller deciding that one step computes one
+p-value instead of the whole history.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class ThresholdEngine(abc.ABC):
     def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
         """``alphas`` on every row of an (R, T) batch."""
 
+    def history_free_level(self, T: int) -> float | None:
+        """The level of step ``T`` when it reads no earlier p-value, else None.
+
+        A number lets a caller that decides only step ``T`` skip the
+        p-values of steps before it.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class FixedThreshold(ThresholdEngine):
@@ -83,6 +94,9 @@ class FixedThreshold(ThresholdEngine):
 
     def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(pvals).shape, self.q)
+
+    def history_free_level(self, T: int) -> float:
+        return self.q
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from pemi import fast
 from pemi.cli import main
+from pemi.errors import PreconditionError
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -78,6 +80,18 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def test_unselected_observed_point_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def unselected(*args, **kwargs):
+        raise PreconditionError("the observed point was not selected")
+
+    monkeypatch.setattr(fast, "covariate_set", unselected)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "internal error: the observed point was not selected\n"
+
+
 def test_report_subcommand(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(CONFIG)
@@ -134,6 +148,10 @@ def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
     [
         ("rule: {name: conformal_pvalue, q: 0.3}", "this rule needs cutoffs"),
         ("rule: {name: elond}\ncutoff: {value: 5.0}", "the e-value rule needs offline_n >= 1"),
+        (
+            "rule: {name: conformal_pvalue, q: 0.9}\ncutoff: {quantile: 0.7}\noffline_n: 3",
+            "this rule runs on online slots only: offline_n must be 0",
+        ),
     ],
 )
 def test_rule_input_missing_from_the_config_is_a_config_error(tmp_path, capsys, entry, message):

@@ -154,6 +154,29 @@ def test_conformal_rule_end_to_end():
     assert all(e.method == "pemi_det" for e in result.events)
 
 
+def test_conformal_trajectory_is_the_rules_per_step_decision():
+    # q is the step-9 p-value computed with the length-40 weights; the rule at
+    # step 9 uses length-9 weights, which give 0.2223269540437226 (one ulp
+    # above q).  A trajectory built from the length-40 weights selects step 9
+    # and the closed form then finds the observed point unselected.
+    cfg = _tiny_config(
+        T=40,
+        N=1,
+        M=20,
+        seed=7,
+        rule={
+            "name": "conformal_pvalue",
+            "q": 0.22232695404372255,
+            "decay": 0.99,
+            "model": {"name": "true_mean"},
+        },
+        cutoff={"quantile": 0.7},
+        methods=("pemi_det",),
+    )
+    result = run_experiment(cfg)
+    assert 9 not in {e.t for e in result.events}
+
+
 def test_elond_rule_end_to_end():
     cfg = _tiny_config(
         T=4,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -60,6 +61,28 @@ def test_stream_split_rows_standalone():
     u = row_uniforms(seed, t, 29)
     row = _fisher_yates_rows(u.reshape(1, -1), t)[0]
     assert np.array_equal(row, sample.matrix[29])
+
+
+# SHA-256 of the matrix bytes; any change to the Philox stream, the
+# uniforms-to-swap map or the matrix layout moves them.
+PERMUTATION_DIGESTS = [
+    ((1, 5, 3, 0), "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb"),
+    ((2, 7, 11, 0), "2325a56545f56707f54787c4c9976ec8153bdd4149d5abb1be513f3a7581590e"),
+    ((5, 100, 13, 0), "890323fea74a42ae25c3559087e1d17e93f06386390837c0938ac7f837c48080"),
+    ((60, 200, 17, 0), "bc330d76d92786feb6e5a4549a0b789d8ed482d439f34d5ff50e150a33f16bc9"),
+    ((60, 200, 19, 20), "6ad1b442d3f1b8fc0e995eb7fa1823ad4e7b9b101af5ffead9a6d2220b32cd66"),
+    ((5, 0, 23, 0), hashlib.sha256(b"").hexdigest()),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", PERMUTATION_DIGESTS, ids=[f"t{a[0]}-M{a[1]}-off{a[3]}" for a, _ in PERMUTATION_DIGESTS]
+)
+def test_sample_bits_are_pinned(args, digest):
+    t, M, seed, n_offline = args
+    matrix = sample_permutations(t, M, seed, n_offline).matrix
+    assert matrix.dtype == np.int64 and matrix.shape == (M, t + n_offline)
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest
 
 
 def test_uniformity_t3():

@@ -181,6 +181,57 @@ def test_fixed_threshold_rule_matches_direct_count(seed):
     assert rule.select(seq) == (p_direct <= 0.5)
 
 
+@pytest.mark.parametrize("decay", [None, 0.99])
+@pytest.mark.parametrize("R", [None, 1, 200])
+@pytest.mark.parametrize("T", [1, 2, 7, 60, 80])
+def test_fixed_level_reads_the_last_history_column_bit_for_bit(T, R, decay):
+    from pemi.rules import _pvalue_column, _pvalue_operands  # test-only reach-in
+
+    rng = np.random.default_rng(T * 1000 + (R or 0))
+    shape = (T,) if R is None else (R, T)
+    fhat = np.round(rng.normal(size=shape), 1)  # a coarse grid gives ties
+    ind = (rng.random(shape) < 0.6).astype(float)
+    w = recency_weights(T, decay)
+    last = weighted_pvalue_history(fhat, ind, w)[..., -1]
+    assert np.array_equal(_pvalue_column(*_pvalue_operands(fhat, ind, w), T - 1), last)
+    # a level placed exactly on a p-value decides like the full history
+    for q in np.unique(last[last < 1])[:5]:
+        rule = ConformalPValueRule(f_score=None, engine=FixedThreshold(float(q)), decay=decay)
+        assert np.array_equal(rule.selects_last(fhat, ind), last <= q)
+
+
+@pytest.mark.parametrize(
+    "engine", [None, LondEngine(alpha=0.5, gamma=lambda j: 0.9**j)], ids=["fixed", "lond"]
+)
+def test_conformal_trajectory_is_select_on_each_prefix(engine):
+    T, decay = 30, 0.99
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(T, 1))
+    c = rng.normal(size=T)
+    seq = OrderedSequence(
+        prefix_x=X[:-1],
+        prefix_y=X[:-1, 0] + rng.normal(size=T - 1),
+        final_x=X[-1],
+        prefix_cutoffs=c[:-1],
+        final_cutoff=float(c[-1]),
+    )
+    f_score = lambda X, c: np.asarray(X[:, 0]) - np.asarray(c)
+    if engine is None:
+        # a fixed level on each p-value of the whole-sequence history: the
+        # length-T recency weights round some steps' p-values differently
+        # from the length-i weights that step i uses
+        fhat = np.asarray(X[:, 0]) - c
+        ind = np.append((seq.prefix_y <= seq.prefix_cutoffs).astype(float), 0.0)
+        levels = weighted_pvalue_history(fhat, ind, recency_weights(T, decay))[1:]
+        engines = [FixedThreshold(float(q)) for q in levels if q < 1]
+    else:
+        engines = [engine]
+    for eng in engines:
+        rule = ConformalPValueRule(f_score=f_score, engine=eng, decay=decay)
+        traj = rule.trajectory(seq)
+        assert traj == tuple(int(rule.select(seq.prefix(i))) for i in range(1, T + 1))
+
+
 def test_conformal_rule_requires_cutoffs(rng):
     rule = ConformalPValueRule(
         f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c), engine=FixedThreshold(0.5)
