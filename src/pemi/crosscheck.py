@@ -160,7 +160,7 @@ def _label_grid(inst: Instance, n_points: int) -> np.ndarray:
     lo, hi = min(anchor) - 2.0, max(anchor) + 2.0
     grid = np.linspace(lo, hi, n_points)
     if isinstance(inst.rule, EarlierOutcomeRule):
-        mu_past = np.asarray(inst.rule.mu(data.x), dtype=float)
+        mu_past = inst.rule.point_values(data.x)
         grid = np.unique(np.concatenate([grid, mu_past]))
     return grid
 

@@ -7,6 +7,11 @@ p-value compares the identity's conformity score against the scores over
 that reference set.  Everything here works for arbitrary rules and
 scores by direct evaluation — the closed-form module reproduces these
 answers without enumerating candidate labels.
+
+A rule's point values depend on each point alone, so a call imputes the
+label and evaluates the model once; each sampled permutation only indexes
+those slot arrays and replays the rule's scalar reference decision, never
+a batched kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .permutations import _impute_label
 from .quantiles import exceeds_level
 from .rules import SelectionRule, SelectionTaxonomy
 from .scores import ConformityScore, LastPointScore
-from .types import DataSequence, MultiTestData, OrderedSequence, PermutationSample
+from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
     "SelectionPValue",
@@ -76,18 +81,18 @@ def reference_mask(
     With a taxonomy, membership additionally requires the whole permuted
     selection trajectory to stay inside it.  The identity is not part of
     the sample and is accounted for separately by the p-value functions.
-    Each row gives the same sequence as ``permute_with_imputation``; the
-    label is imputed once per call, and each row only indexes the result.
+    Each row decides like ``rule.select`` on the sequence that
+    ``permute_with_imputation`` gives, replaying ``rule.decide`` on values
+    computed once per call.
     """
     _check_domain(data, perms)
-    reorder = _impute_label(data, y)
+    reorder = _impute_label(data, y, rule)
     out = np.zeros(perms.m, dtype=bool)
     for i, order in enumerate(perms.matrix):
-        seq = reorder(order)
         if taxonomy is None:
-            out[i] = rule.select(seq)
+            out[i] = rule.decide(*reorder(order))
         else:
-            traj = rule.trajectory(seq)
+            traj = rule.decide_trajectory(*reorder(order))
             out[i] = traj[-1] == 1 and taxonomy.contains(traj)
     return out
 
@@ -241,10 +246,10 @@ class _TestSlotRule(SelectionRule):
         self.rule, self.j, self.test_x = rule, j, test_x
         self.covariate_only = rule.covariate_only
 
-    def select(self, seq: OrderedSequence) -> bool:
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
         test_x = self.test_x.copy()
-        test_x[self.j] = seq.final_x
-        return self.j in self.rule.select(seq.prefix_x, seq.prefix_y, test_x)
+        test_x[self.j] = values[-1]
+        return self.j in self.rule.select(values[:-1], labels, test_x)
 
 
 def _single_test(

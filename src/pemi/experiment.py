@@ -416,21 +416,9 @@ def _stream_for_rep(res: ResolvedExperiment, rep: int, rng: np.random.Generator)
 
 
 def _observed_trajectory(res: ResolvedExperiment, X, Y, cuts) -> np.ndarray:
-    """Selection decisions s_1..s_T on the observed online stream."""
-    cfg = res.config
-    n_off = cfg.offline_n
-    if res.rule.covariate_only and n_off == 0:
-        # the reference decision on each prefix, as the closed form's precondition checks it
-        vals = res.rule.point_values(X)
-        return np.array([res.rule.select_values(vals[: i + 1]) for i in range(vals.shape[0])])
-    seq = OrderedSequence(
-        prefix_x=X[:-1],
-        prefix_y=Y[:-1],
-        final_x=X[-1],
-        prefix_cutoffs=None if cuts is None else cuts[:-1],
-        final_cutoff=None if cuts is None else float(cuts[-1]),
-        n_offline=n_off,
-    )
+    """Selection decisions s_1..s_T on the observed online stream, from point values computed once."""
+    cut = (None, None) if cuts is None else (cuts[:-1], float(cuts[-1]))
+    seq = OrderedSequence(X[:-1], Y[:-1], X[-1], *cut, n_offline=res.config.offline_n)
     return np.asarray(res.rule.trajectory(seq), dtype=bool)
 
 

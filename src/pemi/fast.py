@@ -40,6 +40,7 @@ from .rules import (
     SelectionRule,
     SelectionTaxonomy,
     elond_selection_profile,
+    recency_weights,
 )
 from .scores import LastPointScore, score_each_point
 from .sets import CutoffPiecewiseSet, IntervalUnionSet, ThresholdSet
@@ -237,7 +238,7 @@ def conformal_pvalue_set(
     _check_domain(data, perms)
     t = data.t
     full_c = data.full_cutoffs()
-    fhat = np.asarray(rule.f_score(data.full_x(), full_c), dtype=float)
+    fhat = rule.point_values(data.full_x(), full_c)
     ind_true = np.zeros(t)
     ind_true[: t - 1] = data.y <= data.cutoffs
 
@@ -278,13 +279,12 @@ def elond_set(
     n_off = data.n_offline
     t = data.t
     n_slots = data.n_slots
-    fhat = np.asarray(rule.f_score(data.full_x(), data.full_cutoffs()), dtype=float)
+    fhat = rule.point_values(data.full_x(), data.full_cutoffs())
     ind_true = np.zeros(n_slots)
     ind_true[:n_off] = data.offline_y <= data.offline_cutoffs
     ind_true[n_off : n_slots - 1] = data.y <= data.cutoffs
 
-    ident = np.arange(n_slots, dtype=np.int64).reshape(1, -1)
-    if not bool(_elond_last_selection(rule, fhat, ind_true, ident, n_off, t)[0]):
+    if not rule.decide(fhat, data.full_y()[:-1], data.full_cutoffs()[:-1], n_off):
         raise PreconditionError("the observed point was not selected")
 
     point_scores = score_each_point(score, data.full_x(), data.full_y())
@@ -337,12 +337,10 @@ def earlier_outcome_set(
     t = data.t
     if t == 1:
         return IntervalUnionSet((), (math.inf,), ())
-    mu_points = np.asarray(rule.mu(data.full_x()), dtype=float)
-    mu_t = mu_points[-1]
-    weights = rule.weights(t - 1)
-    total = float(weights.sum())
-    if not float(weights @ (data.y > mu_t)) <= rule.beta_sel * total:
+    mu_points = rule.point_values(data.full_x())
+    if not rule.decide(mu_points, data.y, None, 0):
         raise PreconditionError("the observed point was not selected")
+    weights = recency_weights(t - 1, rule.decay)
 
     breakpoints = np.sort(mu_points[: t - 1])
     full_y = data.full_y()
@@ -357,7 +355,7 @@ def earlier_outcome_set(
     y_perm = full_y[P[:, :-1]]
     base = ((y_perm > mu_last[:, None]) * weights).sum(axis=1)  # NaN test slot drops out
     # the rule's own comparison w @ ind <= beta_sel * W, without and with the imputed label's weight
-    bar = rule.beta_sel * total
+    bar = rule.beta_sel * float(weights.sum())
     sel0 = base <= bar
     sel1 = base + w_l <= bar
     stay = last == test_slot

@@ -105,36 +105,35 @@ def permute_with_imputation(seq: DataSequence, order: np.ndarray, y: float) -> O
     travel with their points.
     """
     order = np.asarray(order, dtype=np.int64)
-    n = seq.n_slots
-    if order.shape != (n,):
-        raise DomainError(f"permutation domain size {order.shape} != sequence slots {n}")
-    return _impute_label(seq, y)(order)
+    if order.shape != (seq.n_slots,):
+        raise DomainError(f"permutation domain size {order.shape} != sequence slots {seq.n_slots}")
+    head, last = order[:-1], order[-1]
+    full_x, cut = seq.full_x(), seq.full_cutoffs()
+    return OrderedSequence(
+        prefix_x=full_x[head],
+        prefix_y=np.append(seq.full_y()[:-1], y)[head],
+        final_x=full_x[last],
+        prefix_cutoffs=None if cut is None else cut[head],
+        final_cutoff=None if cut is None else float(cut[last]),
+        n_offline=seq.n_offline,
+    )
 
 
-def _impute_label(seq: DataSequence, y: float) -> Callable[[np.ndarray], OrderedSequence]:
-    """Impute ``y`` once; the returned function applies one order to the result.
+def _impute_label(seq: DataSequence, y: float, rule) -> Callable[[np.ndarray], tuple]:
+    """Impute ``y`` in the test slot and evaluate ``rule``'s point values once;
+    the returned function gives the arguments of ``rule.decide`` under one order.
 
-    The label step copies the slot-order labels with ``y`` in the test
-    slot, so the test point carries ``y`` wherever an order moves it.  The
-    row step only indexes the slot arrays; it does not check ``order``,
-    which must be an int64 permutation of the slots.
+    A point's value depends on that point alone, so the row step only indexes the slot-order
+    values, labels and cutoffs; ``order`` must be an int64 permutation of the slots (unchecked).
     """
-    full_x = seq.full_x()
     cut = seq.full_cutoffs()
     n_offline = seq.n_offline
-    imputed_y = seq.full_y().copy()
-    imputed_y[-1] = y
+    values = rule._slot_values(seq.full_x(), cut, n_offline)
+    labels = np.append(seq.full_y()[:-1], y)
 
-    def reorder(order: np.ndarray) -> OrderedSequence:
-        head, last = order[:-1], order[-1]
-        return OrderedSequence(
-            prefix_x=full_x[head],
-            prefix_y=imputed_y[head],
-            final_x=full_x[last],
-            prefix_cutoffs=None if cut is None else cut[head],
-            final_cutoff=None if cut is None else float(cut[last]),
-            n_offline=n_offline,
-        )
+    def reorder(order: np.ndarray) -> tuple:
+        head = order[:-1]
+        return values[order], labels[head], None if cut is None else cut[head], n_offline
 
     return reorder
 

@@ -1,16 +1,18 @@
 """Online selection rules: who gets a prediction set, and when.
 
-A rule maps an ordered sequence (labeled prefix plus final-slot
-covariates) to a binary decision.  ``select`` is the readable reference
-that the generic engine and the oracle replay one permutation at a time.
-A covariate rule (``covariate_only``: the decision never reads labels)
-decides from one scalar per point: ``select_values`` is its reference
-decision, and one batched kernel over an ``(R, T)`` array of permuted
-scalars serves the closed forms in ``pemi.fast``, which pick their
-construction by rule type.
+A rule reads each point through one value, ``point_values(X, cutoffs)``:
+a model output that depends on that point alone (the covariates
+themselves by default).  ``decide`` is the readable reference decision on
+slot-ordered values plus the labels and cutoffs of the labeled prefix;
+``select`` and ``trajectory`` on a materialized sequence, the generic
+engine and the oracle all reach it with the values computed once.  A
+covariate rule (``covariate_only``: the decision never reads labels)
+decides from the values alone: ``select_values`` is its reference, and one
+batched kernel over an ``(R, T)`` array of permuted values serves the
+closed forms in ``pemi.fast``, which pick their construction by rule type.
 
 Rules are immutable and pure; evaluation on permuted sequences happens by
-materializing the permuted order, never by mutating state.
+indexing the permuted order, never by mutating state.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ def recency_weights(n: int, decay: float | None) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=256)
+def _weights_and_total(n: int, decay: float | None) -> tuple[np.ndarray, float]:
+    """``recency_weights`` and their sum, for references replayed once per permuted row."""
+    w = recency_weights(n, decay)
+    return w, w.sum()
+
+
 class SelectionRule(abc.ABC):
     """Deterministic map from an ordered sequence to a select/skip bit.
 
@@ -78,12 +87,42 @@ class SelectionRule(abc.ABC):
     needs_offline: ClassVar[bool] = False
     online_only: ClassVar[bool] = False
 
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
+        """One entry per covariate row, depending on that row (and its cutoff) alone."""
+        return X
+
     @abc.abstractmethod
-    def select(self, seq: OrderedSequence) -> bool: ...
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
+        """Reference decision on slot-ordered values (test slot last) and the labeled slots' labels and cutoffs."""
+
+    def decide_trajectory(self, values, labels, cutoffs, n_offline: int) -> tuple[int, ...]:
+        """``decide`` on every online prefix of the same slot-ordered arrays."""
+        return tuple(
+            int(self.decide(values[: k + 1], labels[:k], None if cutoffs is None else cutoffs[:k], n_offline))
+            for k in range(n_offline, values.shape[0])
+        )
+
+    def select(self, seq: OrderedSequence) -> bool:
+        return bool(self.decide(*self._sequence_arguments(seq)))
 
     def trajectory(self, seq: OrderedSequence) -> tuple[int, ...]:
         """Decisions on every online prefix of ``seq`` (length-i prefixes)."""
-        return tuple(int(self.select(seq.prefix(i))) for i in range(1, seq.online_length + 1))
+        return self.decide_trajectory(*self._sequence_arguments(seq))
+
+    def _sequence_arguments(self, seq: OrderedSequence) -> tuple:
+        X = np.concatenate([seq.prefix_x, seq.final_x.reshape(1, -1)], axis=0)
+        cut = None if seq.prefix_cutoffs is None else np.append(seq.prefix_cutoffs, seq.final_cutoff)
+        return self._slot_values(X, cut, seq.n_offline), seq.prefix_y, seq.prefix_cutoffs, seq.n_offline
+
+    def _slot_values(self, X: np.ndarray, cutoffs, n_offline: int) -> np.ndarray:
+        """``point_values`` of a sequence's slots, once the rule can run on the sequence."""
+        if self.needs_cutoffs and cutoffs is None:
+            raise ConfigurationError("this rule needs per-point cutoffs on the sequence")
+        if self.needs_offline and not n_offline:
+            raise ConfigurationError("this rule needs a non-empty offline block")
+        if self.online_only and n_offline:
+            raise ConfigurationError("this rule runs on online slots only")
+        return self.point_values(X, cutoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +143,11 @@ class CovariateRule(SelectionRule):
     covariate_only: ClassVar[bool] = True
 
     @abc.abstractmethod
-    def point_values(self, X: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
     def select_values(self, values: np.ndarray) -> bool:
         """Decision from per-slot scalars; the last entry is the test slot."""
+
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
+        return self.select_values(values)
 
     def select_values_batch(self, values: np.ndarray) -> np.ndarray:
         """``select_values`` on every row of an (R, T) batch."""
@@ -120,16 +159,12 @@ class CovariateRule(SelectionRule):
             [self.select_values_batch(values[:, : j + 1]) for j in range(values.shape[1])], axis=1
         )
 
-    def select(self, seq: OrderedSequence) -> bool:
-        stacked = np.concatenate([seq.prefix_x, seq.final_x.reshape(1, -1)], axis=0)
-        return bool(self.select_values(self.point_values(stacked)))
-
 
 @dataclass(frozen=True)
 class AlwaysSelectRule(CovariateRule):
     """Select every point (no selection effect)."""
 
-    def point_values(self, X: np.ndarray) -> np.ndarray:
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         return np.zeros(X.shape[0])
 
     def select_values(self, values: np.ndarray) -> bool:
@@ -141,7 +176,7 @@ class AlwaysSelectRule(CovariateRule):
 
 @dataclass(frozen=True)
 class NeverSelectRule(CovariateRule):
-    def point_values(self, X: np.ndarray) -> np.ndarray:
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         return np.zeros(X.shape[0])
 
     def select_values(self, values: np.ndarray) -> bool:
@@ -164,7 +199,7 @@ class DecisionDrivenRule(CovariateRule):
         if self.tau0 <= 0:
             raise ConfigurationError(f"tau0 must be positive, got {self.tau0}")
 
-    def point_values(self, X: np.ndarray) -> np.ndarray:
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(self.mu(X), dtype=float)
 
     def select_values(self, values: np.ndarray) -> bool:
@@ -203,15 +238,14 @@ class WeightedPredictionRule(CovariateRule):
         if self.mode == "quantile" and not 0 < self.q_sel < 1:
             raise ConfigurationError(f"q_sel must be in (0,1), got {self.q_sel}")
 
-    def point_values(self, X: np.ndarray) -> np.ndarray:
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(self.mu(X), dtype=float)
 
     def select_values(self, values: np.ndarray) -> bool:
         past, v_t = values[:-1], values[-1]
         if past.shape[0] == 0:
             return False
-        w = recency_weights(past.shape[0], self.decay)
-        total = w.sum()
+        w, total = _weights_and_total(past.shape[0], self.decay)
         if self.mode == "average":
             return bool(v_t > float(w @ past) / total)
         return bool(float(w @ (past < v_t)) >= (1 - self.q_sel) * total)
@@ -220,8 +254,7 @@ class WeightedPredictionRule(CovariateRule):
         past, v_t = values[:, :-1], values[:, -1:]
         if past.shape[1] == 0:
             return np.zeros(values.shape[0], dtype=bool)
-        w = recency_weights(past.shape[1], self.decay)
-        total = w.sum()
+        w, total = _weights_and_total(past.shape[1], self.decay)
         if self.mode == "average":
             return (past @ w) / total < v_t[:, 0]
         return (past < v_t) @ w >= (1 - self.q_sel) * total
@@ -247,7 +280,7 @@ class UncertaintyBudgetRule(CovariateRule):
         if len(self.models) < 2:
             raise ConfigurationError("need at least two models to measure disagreement")
 
-    def point_values(self, X: np.ndarray) -> np.ndarray:
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         preds = np.stack([np.asarray(m(X), dtype=float) for m in self.models])
         return preds.var(axis=0)
 
@@ -337,19 +370,6 @@ def _pvalue_column(
     return num / denom[j]
 
 
-def _sequence_fhat_indicators(
-    seq: OrderedSequence, f_score
-) -> tuple[np.ndarray, np.ndarray]:
-    if seq.prefix_cutoffs is None or seq.final_cutoff is None:
-        raise ConfigurationError("this rule needs per-point cutoffs on the sequence")
-    X = np.concatenate([seq.prefix_x, seq.final_x.reshape(1, -1)], axis=0)
-    c = np.concatenate([seq.prefix_cutoffs, [seq.final_cutoff]])
-    fhat = np.asarray(f_score(X, c), dtype=float)
-    ind = np.zeros(X.shape[0])
-    ind[:-1] = seq.prefix_y <= seq.prefix_cutoffs
-    return fhat, ind
-
-
 @dataclass(frozen=True)
 class ConformalPValueRule(SelectionRule):
     """Select when the weighted clipped conformal p-value clears the
@@ -362,15 +382,15 @@ class ConformalPValueRule(SelectionRule):
     needs_cutoffs: ClassVar[bool] = True
     online_only: ClassVar[bool] = True
 
-    def weights(self, n: int) -> np.ndarray:
-        return recency_weights(n, self.decay)
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        return np.asarray(self.f_score(X, cutoffs), dtype=float)
 
     def selects_last(self, fhat: np.ndarray, indicators: np.ndarray) -> np.ndarray:
         """Whether the last slot is selected, on one (T,) history or on every
         row of an (R, T) batch.  When the engine's last level does not read
         the earlier p-values, only the last p-value is computed."""
         T = fhat.shape[-1]
-        weights = self.weights(T)
+        weights = recency_weights(T, self.decay)
         level = self.engine.history_free_level(T)
         if level is not None:
             return _pvalue_column(*_pvalue_operands(fhat, indicators, weights), T - 1) <= level
@@ -378,10 +398,10 @@ class ConformalPValueRule(SelectionRule):
         alphas = self.engine.alphas(p) if p.ndim == 1 else self.engine.alphas_batch(p)
         return p[..., -1] <= alphas[..., -1]
 
-    def select(self, seq: OrderedSequence) -> bool:
-        if seq.n_offline:
-            raise ConfigurationError("p-value thresholding runs on online slots only")
-        return bool(self.selects_last(*_sequence_fhat_indicators(seq, self.f_score)))
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
+        indicators = np.zeros(values.shape[0])
+        indicators[:-1] = labels <= cutoffs
+        return bool(self.selects_last(values, indicators))
 
 
 @dataclass(frozen=True)
@@ -407,27 +427,17 @@ class ELondRule(SelectionRule):
         if not 0 < self.alpha < 1:
             raise ConfigurationError(f"alpha must be in (0,1), got {self.alpha}")
 
-    def _streams(self, seq: OrderedSequence) -> tuple[np.ndarray, np.ndarray]:
-        if seq.n_offline < 1:
-            raise ConfigurationError("this rule needs a non-empty offline block")
-        fhat, ind = _sequence_fhat_indicators(seq, self.f_score)
-        n_off = seq.n_offline
-        f_off, ind_off = fhat[:n_off], ind[:n_off]
-        f_on = fhat[n_off:]
-        counts = (ind_off[None, :] * (f_off[None, :] >= f_on[:, None])).sum(axis=1)
-        p_minus = counts / (n_off + 1)
-        p_plus = (counts + 1) / (n_off + 1)
-        return p_minus, p_plus
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        return np.asarray(self.f_score(X, cutoffs), dtype=float)
 
-    def selections(self, seq: OrderedSequence) -> np.ndarray:
-        p_minus, p_plus = self._streams(seq)
-        return elond_selection_profile(p_minus, p_plus, self.alpha, self.gamma)
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
+        return bool(self.decide_trajectory(values, labels, cutoffs, n_offline)[-1])
 
-    def select(self, seq: OrderedSequence) -> bool:
-        return bool(self.selections(seq)[-1])
-
-    def trajectory(self, seq: OrderedSequence) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.selections(seq))
+    def decide_trajectory(self, values, labels, cutoffs, n_offline: int) -> tuple[int, ...]:
+        ind_off = (labels[:n_offline] <= cutoffs[:n_offline]).astype(float)
+        counts = (ind_off[None, :] * (values[None, :n_offline] >= values[n_offline:, None])).sum(axis=1)
+        p_minus, p_plus = counts / (n_offline + 1), (counts + 1) / (n_offline + 1)
+        return tuple(elond_selection_profile(p_minus, p_plus, self.alpha, self.gamma).astype(int).tolist())
 
 
 def elond_selection_profile(
@@ -473,20 +483,20 @@ class EarlierOutcomeRule(SelectionRule):
     beta_sel: float
     decay: float | None = None
 
+    online_only: ClassVar[bool] = True
+
     def __post_init__(self) -> None:
         if not 0 < self.beta_sel < 1:
             raise ConfigurationError(f"beta_sel must be in (0,1), got {self.beta_sel}")
 
-    def weights(self, n_past: int) -> np.ndarray:
-        return recency_weights(n_past, self.decay)
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
+        return np.asarray(self.mu(X), dtype=float)
 
-    def select(self, seq: OrderedSequence) -> bool:
-        if seq.prefix_y.shape[0] == 0:
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
+        if labels.shape[0] == 0:
             return True  # empty quantile constraint is vacuous
-        mu_t = float(self.mu(seq.final_x.reshape(1, -1))[0])
-        w = self.weights(seq.prefix_y.shape[0])
-        total = w.sum()
-        return bool(float(w @ (seq.prefix_y > mu_t)) <= self.beta_sel * total)
+        w, total = _weights_and_total(labels.shape[0], self.decay)
+        return bool(float(w @ (labels > values[-1])) <= self.beta_sel * total)
 
 
 # ---------------------------------------------------------------------------

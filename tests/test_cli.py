@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pemi import fast
+from pemi import experiment, fast
 from pemi.cli import main
 from pemi.errors import PreconditionError
 
@@ -159,6 +159,22 @@ def test_rule_input_missing_from_the_config_is_a_config_error(tmp_path, capsys, 
     cfg.write_text(CONFIG.replace("rule: {name: always}", entry))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", ["[vanilla]", "[pemi_det]"])
+def test_offline_block_for_an_online_only_rule_fails_before_any_replication(
+    tmp_path, capsys, monkeypatch, methods
+):
+    # earlier_outcome's closed form runs on plain online sequences; an offline
+    # block is a config error up front, whichever methods run
+    monkeypatch.setattr(experiment, "_run_replication", lambda *args: pytest.fail("a replication ran"))
+    cfg = tmp_path / "cfg.yaml"
+    entry = "rule: {name: earlier_outcome, beta_sel: 0.9}\noffline_n: 3"
+    cfg.write_text(CONFIG.replace("rule: {name: always}", entry).replace("[pemi_det, vanilla]", methods))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: this rule runs on online slots only: offline_n must be 0" in capsys.readouterr().err
+    assert not (out / "events.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from pemi.crosscheck import FAMILIES, draw_instance
 from pemi.engine import (
     MultiTestRule,
     TopPredictionRule,
+    _single_test,
     multi_test_pvalue,
     pemi_pvalue,
     pemi_pvalue_randomized,
@@ -25,6 +26,7 @@ from pemi.rules import (
     EarlierOutcomeRule,
     NeverSelectRule,
     SelectionTaxonomy,
+    UncertaintyBudgetRule,
     WeightedPredictionRule,
 )
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
@@ -179,12 +181,36 @@ def _loop_mask(y, data, rule, perms, taxonomy=None):
     return np.array(out, dtype=bool)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+def _random_linear(rng, d=2):
+    return LinearModel(float(rng.normal()), tuple(float(c) for c in rng.normal(size=d)))
+
+
+# the battery's families plus the reachable rules they leave out
+CASES = FAMILIES + ("uncertainty_budget", "weighted_average_decay", "always", "multi_test")
+
+
+def _draw_case(case, rng, t):
+    """A sequence and a rule for ``case``; selection of the observed point is not required."""
+    if case in FAMILIES:
+        inst = draw_instance(case, rng, t)
+        return inst.data, inst.rule
+    if case == "uncertainty_budget":
+        models = tuple(_random_linear(rng) for _ in range(3))
+        return make_sequence(rng, t, n_offline=2), UncertaintyBudgetRule(models, gamma=0.4)
+    if case == "weighted_average_decay":
+        rule = WeightedPredictionRule(mu=_random_linear(rng), mode="average", decay=0.7)
+        return make_sequence(rng, t, n_offline=1), rule
+    if case == "always":
+        return make_sequence(rng, t), AlwaysSelectRule()
+    # a label-reading, order-dependent multi-test rule seen from test index 1
+    return _single_test(_mt_data(rng, n=t - 1, m=3), 1, _LabelWeightedBarRule())
+
+
+@pytest.mark.parametrize("family", CASES)
 def test_reference_mask_equals_a_loop_over_the_public_helper(family):
-    rng = np.random.default_rng(500 + FAMILIES.index(family))
+    rng = np.random.default_rng(500 + CASES.index(family))
     for t in (2, 4, 6):
-        inst = draw_instance(family, rng, t)
-        data, rule = inst.data, inst.rule
+        data, rule = _draw_case(family, rng, t)
         n = data.n_slots
         sampled = sample_permutations(t, 30, seed=int(rng.integers(2**31)), n_offline=data.n_offline)
         # every row that swaps the test point with another slot, offline slots included
@@ -197,7 +223,7 @@ def test_reference_mask_equals_a_loop_over_the_public_helper(family):
         )
         labels = [float(v) for v in rng.normal(size=3)]
         if isinstance(rule, EarlierOutcomeRule):  # the partition boundaries
-            labels += [float(v) for v in rule.mu(data.x)]
+            labels += [float(v) for v in rule.point_values(data.x)]
         observed = SelectionTaxonomy.singleton(rule.trajectory(identity_sequence(data, 0.0)))
         for y in labels:
             for taxonomy in (None, observed):

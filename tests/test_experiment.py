@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pemi import fast
+from pemi import experiment, fast
+from pemi.crosscheck import GeometricGamma
 from pemi.errors import ConfigurationError
 from pemi.experiment import (
     ExperimentConfig,
@@ -17,7 +19,8 @@ from pemi.experiment import (
 )
 from pemi.oracle import all_orders_sample
 from pemi.rules import SelectionTaxonomy
-from pemi.types import DataSequence
+from pemi.thresholds import LondEngine
+from pemi.types import DataSequence, OrderedSequence
 
 
 def test_vanilla_set_rank_examples():
@@ -175,6 +178,64 @@ def test_conformal_trajectory_is_the_rules_per_step_decision():
     )
     result = run_experiment(cfg)
     assert 9 not in {e.t for e in result.events}
+
+
+TRUE_MEAN = {"name": "true_mean"}
+# rule spec and extra config entries of every family a config can name
+FAMILY_CONFIGS = {
+    "always": ({"name": "always"}, {}),
+    "decision_driven": ({"name": "decision_driven", "tau0": 10, "tau1": 5.0, "model": TRUE_MEAN}, {}),
+    "weighted_quantile": ({"name": "weighted_quantile", "q_sel": 0.3, "model": TRUE_MEAN}, {}),
+    "weighted_average": ({"name": "weighted_average", "decay": 0.9, "model": TRUE_MEAN}, {}),
+    "uncertainty_budget": (
+        {"name": "uncertainty_budget", "gamma": 0.3, "models": [TRUE_MEAN, {"name": "linear_fit"}]},
+        {"offline_n": 4},
+    ),
+    "conformal_fixed": (
+        {"name": "conformal_pvalue", "q": 0.4, "decay": 0.99, "model": TRUE_MEAN},
+        {"cutoff": {"quantile": 0.7}},
+    ),
+    "conformal_lond": (
+        {"name": "conformal_pvalue", "test_alpha": 0.9, "decay": 0.99, "model": TRUE_MEAN},
+        {"cutoff": {"quantile": 0.7}},
+    ),
+    "elond": (
+        {"name": "elond", "test_alpha": 0.9, "model": TRUE_MEAN},
+        {"cutoff": {"quantile": 0.4}, "offline_n": 5},
+    ),
+    "earlier_outcome": ({"name": "earlier_outcome", "beta_sel": 0.5, "model": TRUE_MEAN}, {}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+def test_observed_trajectory_evaluates_the_model_once_and_decides_like_the_rule(monkeypatch, family):
+    rule_spec, extra = FAMILY_CONFIGS[family]
+    generator = {"setting": "nonlinear_1d", "sigma": 1.0, "offset": 5.0}
+    cfg = _tiny_config(T=25, N=1, rule=rule_spec, generator=generator, methods=("pemi_det",), **extra)
+    res = resolve_experiment(cfg)
+    if family == "conformal_lond":  # the default gamma selects nothing at T = 25
+        lond = LondEngine(alpha=0.9, gamma=GeometricGamma(0.8))
+        res = dataclasses.replace(res, rule=dataclasses.replace(res.rule, engine=lond))
+    X, Y, cuts = experiment._stream_for_rep(res, 0, np.random.default_rng(5))
+    calls = []
+    point_values = type(res.rule).point_values
+    monkeypatch.setattr(
+        type(res.rule), "point_values", lambda rule, *args: calls.append(1) or point_values(rule, *args)
+    )
+    traj = experiment._observed_trajectory(res, X, Y, cuts)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    seq = OrderedSequence(
+        prefix_x=X[:-1],
+        prefix_y=Y[:-1],
+        final_x=X[-1],
+        prefix_cutoffs=None if cuts is None else cuts[:-1],
+        final_cutoff=None if cuts is None else float(cuts[-1]),
+        n_offline=cfg.offline_n,
+    )
+    assert tuple(int(v) for v in traj) == res.rule.trajectory(seq)
+    # each step decided on its own prefix, with the model evaluated on that prefix alone
+    assert traj.tolist() == [res.rule.select(seq.prefix(i)) for i in range(1, cfg.T + 1)]
 
 
 def test_elond_rule_end_to_end():

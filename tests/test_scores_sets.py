@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pemi.scores import AbsoluteResidualScore, LinearModel
+from pemi.experiment import ColumnModel, CutoffScoreFromModel
+from pemi.generators import GeneratorConfig, TrueMeanModel, generate
+from pemi.rules import UncertaintyBudgetRule
+from pemi.scores import AbsoluteResidualScore, LinearModel, fit_linear_model
 from pemi.sets import (
     CutoffPiecewiseSet,
     IntervalUnionSet,
@@ -92,3 +95,40 @@ def test_linear_model_row_does_not_depend_on_its_batch():
         batch = model(X)
         for i in range(X.shape[0]):
             assert batch[i] == model(X[i])[0]
+
+
+def _reachable_point_values():
+    """Every model a config can reach, as a map from rows (and cutoffs) to one value per row."""
+    nonlinear = GeneratorConfig("nonlinear_1d", sigma=1.0, offset=5.0)
+    setting3 = GeneratorConfig("setting3_20d")
+    fitted = fit_linear_model(*generate(setting3, 500, np.random.default_rng(1)))
+    budget = UncertaintyBudgetRule(
+        models=(TrueMeanModel(setting3), fitted, ColumnModel(3)), gamma=0.5
+    )
+    return {
+        "true_mean_nonlinear_1d": (1, lambda X, c: TrueMeanModel(nonlinear)(X)),
+        "true_mean_setting3_20d": (20, lambda X, c: TrueMeanModel(setting3)(X)),
+        "column": (20, lambda X, c: ColumnModel(7)(X)),
+        "linear_fit": (20, lambda X, c: fitted(X)),
+        "cutoff_score": (20, CutoffScoreFromModel(TrueMeanModel(setting3))),
+        "uncertainty_budget": (20, lambda X, c: budget.point_values(X)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reachable_point_values()))
+def test_reachable_model_row_does_not_depend_on_its_batch(name):
+    """The engine indexes point values computed on the whole sequence, while
+    ``select`` on a permuted sequence computes them on the permuted rows; a
+    row's value must be the same float alone, in its batch and in a permuted
+    batch, for every model a config can reach."""
+    d, values_of = _reachable_point_values()[name]
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        c = rng.normal(size=n)
+        batch = values_of(X, c)
+        perm = rng.permutation(n)
+        assert np.array_equal(values_of(X[perm], c[perm]), batch[perm])
+        for i in range(n):
+            assert values_of(X[i : i + 1], c[i : i + 1])[0] == batch[i]
