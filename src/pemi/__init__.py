@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fast import multi_test_threshold_set
 from .permutations import permute_with_imputation, sample_permutations
-from .quantiles import augmented_quantile, weighted_quantile
+from .quantiles import weighted_quantile
 from .types import DataSequence, MultiTestData, OrderedSequence, PermutationSample
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "SelectionPValue",
     "sample_permutations",
     "permute_with_imputation",
-    "augmented_quantile",
     "weighted_quantile",
     "pemi_pvalue",
     "pemi_pvalue_randomized",

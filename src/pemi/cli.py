@@ -87,12 +87,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raw[key] = val
     if args.methods:
         raw["methods"] = args.methods
-    if args.rule:
-        raw.setdefault("rule", {})
-        raw["rule"] = {**raw["rule"], "name": args.rule}
-    if args.score:
-        raw.setdefault("score", {})
-        raw["score"] = {**raw["score"], "name": args.score}
+    for key, name in (("rule", args.rule), ("score", args.score)):
+        if name:
+            spec = raw.get(key, {})
+            if not isinstance(spec, dict):
+                raise ConfigurationError(f"config key {key!r} has the wrong type: {spec!r}")
+            raw[key] = {**spec, "name": name}
     return ExperimentConfig.from_dict(raw)
 
 

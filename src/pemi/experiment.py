@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fast
 from .datasets import StreamData, load_dataset
-from .errors import ConfigurationError, GuardError
+from .errors import ConfigurationError, GuardError, ParseError
 from .generators import GeneratorConfig, TrueMeanModel, feature_dim, generate
 from .metrics import Event, FcrReport, MetricsRow, fcr_report, summarize
 from .oracle import MAX_ENUM_SIZE, all_orders_sample
@@ -563,21 +563,29 @@ def _write_metrics(path: Path, rows: Sequence[MetricsRow]) -> None:
 
 
 def recompute_metrics(events_path: str | Path, out_path: str | Path | None = None) -> list[MetricsRow]:
-    """Rebuild the per-time aggregates from an event log (audit path)."""
+    """Rebuild the per-time aggregates from an event log (audit path).
+
+    A row that lacks a column or holds a cell that does not parse is a
+    ``ParseError`` naming ``path:line``.
+    """
     import csv as _csv
 
     events = []
     with open(events_path, newline="", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
-            events.append(
-                Event(
-                    rep=int(row["rep"]),
-                    t=int(row["t"]),
-                    method=row["method"],
-                    covered=int(row["covered"]),
-                    size=float(row["size"]),
+        reader = _csv.DictReader(fh)
+        for row in reader:
+            try:
+                events.append(
+                    Event(
+                        rep=int(row["rep"]),
+                        t=int(row["t"]),
+                        method=row["method"],
+                        covered=int(row["covered"]),
+                        size=float(row["size"]),
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError):  # a short row leaves None cells
+                raise ParseError(f"{events_path}:{reader.line_num}: cannot parse event {row}") from None
     rows = summarize(events)
     if out_path is not None:
         _write_metrics(Path(out_path), rows)

@@ -1,17 +1,23 @@
 """Closed-form prediction sets that avoid per-label enumeration.
 
-Three structures make this possible:
+Four structures make this possible:
 
 * label-free (covariate-only) rules — one reference set for every
   candidate label, so the set is a single score threshold;
-* cutoff rules — the imputed label enters only through its side of the
-  test cutoff, giving one threshold per side;
+* cutoff rules, p-value and e-value selection alike — the imputed label
+  enters only through its side of the test cutoff, so one form gives one
+  threshold per side for both;
 * earlier-outcome rules — the label line splits at the sorted past
   predictions into intervals on which the reference set is constant,
   plus the boundary points themselves;
 * label-free multi-test rules — one reference for the selected test
   index, so again a single threshold.
 
+The single-test constructors share one front end, ``_observed``: it
+checks the permutations against the sequence, computes the rule's point
+values the way the generic engine's label step does (which is where a
+rule's needs, such as cutoffs or an offline block, are enforced), checks
+that the rule selects the observed point, and scores the labeled points.
 Every construction builds a selection-preserving reference mask and then
 takes one calibration step, ``_calibration``: the rank-
 ``ceil((1-alpha)*ref_size)`` score among the members that moved a labeled
@@ -33,13 +39,12 @@ from .engine import MultiTestRule, _check_domain, _single_test, pemi_pvalue, ref
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
-    ConformalPValueRule,
     CovariateRule,
+    CutoffRule,
     EarlierOutcomeRule,
-    ELondRule,
     SelectionRule,
     SelectionTaxonomy,
-    elond_selection_profile,
+    _sides,
     recency_weights,
 )
 from .scores import LastPointScore, score_each_point
@@ -78,6 +83,21 @@ class CalibrationDetail:
         return ThresholdSet(q, inclusive=inclusive)
 
 
+def _observed(
+    data: DataSequence, rule: SelectionRule, score: LastPointScore, perms: PermutationSample
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's point values and the labeled points' scores (NaN in the
+    test slot), once ``perms`` acts on ``data``, the rule can run on it and
+    the rule selects the observed point."""
+    _check_domain(data, perms)
+    cut = data.full_cutoffs()
+    values = rule._slot_values(data.full_x(), cut, data.n_offline)
+    labels = data.full_y()[:-1]
+    if not rule.decide(values, labels, None if cut is None else cut[:-1], data.n_offline):
+        raise PreconditionError("the observed point was not selected")
+    return values, score_each_point(score, data.full_x(), data.full_y())
+
+
 def _calibration(
     point_scores: np.ndarray, perms: PermutationSample, sel: np.ndarray
 ) -> CalibrationDetail:
@@ -107,10 +127,8 @@ def _closed_form(
         return covariate_set_randomized(data, rule, score, perms, alpha, u, taxonomy)
     if u is not None or taxonomy is not None:
         raise ConfigurationError("randomized and trajectory-pinned sets need a label-free rule")
-    if isinstance(rule, ConformalPValueRule):
+    if isinstance(rule, CutoffRule):
         return conformal_pvalue_set(data, rule, score, perms, alpha)
-    if isinstance(rule, ELondRule):
-        return elond_set(data, rule, score, perms, alpha)
     if isinstance(rule, EarlierOutcomeRule):
         return earlier_outcome_set(data, rule, score, perms, alpha)
     raise ConfigurationError(f"no closed form for rule {type(rule).__name__}")
@@ -131,23 +149,16 @@ def _covariate_reference(
     perms: PermutationSample,
     taxonomy: SelectionTaxonomy | None,
 ) -> CalibrationDetail:
-    """The label-free reference behind the single-threshold sets; precondition S_t = 1."""
-    if not rule.covariate_only:
-        raise ConfigurationError("single-threshold calibration needs a label-free rule")
-    _check_domain(data, perms)
-    if taxonomy is not None and data.n_offline:
-        # trajectories are indexed by online steps; the batched replay below
-        # walks raw slots, so the two only coincide without an offline block
-        raise ConfigurationError("trajectory-restricted references need a plain online sequence")
-    values = rule.point_values(data.full_x())
-    if not rule.select_values(values):
-        raise PreconditionError("the observed point was not selected")
+    """The label-free reference behind the single-threshold sets."""
+    values, point_scores = _observed(data, rule, score, perms)
     permuted = values[perms.matrix]
     if taxonomy is None:
         sel = rule.select_values_batch(permuted)
     else:
-        sel = _taxonomy_mask(rule.trajectory_values_batch(permuted), taxonomy)
-    return _calibration(score_each_point(score, data.full_x(), data.full_y()), perms, sel)
+        # trajectories are indexed by online steps: the batched replay's offline columns drop out
+        traj = rule.trajectory_values_batch(permuted)[:, data.n_offline :]
+        sel = _taxonomy_mask(traj, taxonomy)
+    return _calibration(point_scores, perms, sel)
 
 
 def covariate_set(
@@ -218,103 +229,32 @@ def _randomized_threshold(
 
 def conformal_pvalue_set(
     data: DataSequence,
-    rule: ConformalPValueRule,
+    rule: CutoffRule,
     score: LastPointScore,
     perms: PermutationSample,
     alpha: float,
 ) -> CutoffPiecewiseSet:
-    """Two-threshold set for p-value-threshold selection.
+    """Two-threshold set for any cutoff rule: p-value thresholding on online
+    slots and e-value selection against an offline block alike.
 
-    For each side of the test cutoff the permuted p-values are rebuilt
-    with the imputed indicator fixed to that side, and the usual quantile
-    calibration applies to the permutations that re-select.  An adaptive
-    level is replayed on the whole p-value history; a level that reads no
-    history needs only the last p-value (``ConformalPValueRule.selects_last``).
+    For each side ``k`` of the test cutoff the test point's side indicator
+    is fixed to ``k``, and ``rule.selects_last`` decides on the permuted
+    scores and indicators of every slot, the offline block included, which
+    permutations re-select; the usual quantile calibration then applies.
     """
-    if data.cutoffs is None or data.test_cutoff is None:
-        raise ConfigurationError("p-value selection needs per-point cutoffs")
-    if data.n_offline:
-        raise ConfigurationError("p-value thresholding runs on online slots only")
-    _check_domain(data, perms)
-    t = data.t
-    full_c = data.full_cutoffs()
-    fhat = rule.point_values(data.full_x(), full_c)
-    ind_true = np.zeros(t)
-    ind_true[: t - 1] = data.y <= data.cutoffs
-
-    if not rule.selects_last(fhat, ind_true):
-        raise PreconditionError("the observed point was not selected")
-
-    point_scores = score_each_point(score, data.full_x(), data.full_y())
+    fhat, point_scores = _observed(data, rule, score, perms)
+    ind = _sides(data.full_y()[:-1], data.full_cutoffs()[:-1])
     fp = fhat[perms.matrix]
-    q = {}
+    q = []
     for k in (0, 1):
-        ind = ind_true.copy()
-        ind[t - 1] = k
-        sel = rule.selects_last(fp, ind[perms.matrix])
-        q[k] = _calibration(point_scores, perms, sel).threshold(alpha).threshold
+        ind[-1] = k
+        sel = rule.selects_last(fp, ind[perms.matrix], data.n_offline)
+        q.append(_calibration(point_scores, perms, sel).threshold(alpha).threshold)
     return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
 
 
-def elond_set(
-    data: DataSequence,
-    rule: ELondRule,
-    score: LastPointScore,
-    perms: PermutationSample,
-    alpha: float,
-) -> CutoffPiecewiseSet:
-    """Two-threshold set for e-value selection with an offline block.
-
-    Per side, both leave-one-out p-value streams are rebuilt under every
-    permutation of the full (offline + online) slot range — the imputed
-    indicator participates only when the test point lands in an offline
-    slot — and the discovery-count and e-value recursions are replayed to
-    decide which permutations re-select.
-    """
-    if data.n_offline < 1:
-        raise ConfigurationError("e-value selection needs a non-empty offline block")
-    if data.cutoffs is None or data.test_cutoff is None or data.offline_cutoffs is None:
-        raise ConfigurationError("e-value selection needs cutoffs on every point")
-    _check_domain(data, perms)
-    n_off = data.n_offline
-    t = data.t
-    n_slots = data.n_slots
-    fhat = rule.point_values(data.full_x(), data.full_cutoffs())
-    ind_true = np.zeros(n_slots)
-    ind_true[:n_off] = data.offline_y <= data.offline_cutoffs
-    ind_true[n_off : n_slots - 1] = data.y <= data.cutoffs
-
-    if not rule.decide(fhat, data.full_y()[:-1], data.full_cutoffs()[:-1], n_off):
-        raise PreconditionError("the observed point was not selected")
-
-    point_scores = score_each_point(score, data.full_x(), data.full_y())
-    q = {}
-    for k in (0, 1):
-        ind = ind_true.copy()
-        ind[n_slots - 1] = k
-        sel = _elond_last_selection(rule, fhat, ind, perms.matrix, n_off, t)
-        q[k] = _calibration(point_scores, perms, sel).threshold(alpha).threshold
-    return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
-
-
-def _elond_last_selection(
-    rule: ELondRule,
-    fhat: np.ndarray,
-    ind: np.ndarray,
-    orders: np.ndarray,
-    n_off: int,
-    t: int,
-) -> np.ndarray:
-    fp = fhat[orders]
-    ip = ind[orders]
-    f_off, i_off = fp[:, :n_off], ip[:, :n_off]
-    counts = np.empty((orders.shape[0], t))
-    for j in range(t):
-        counts[:, j] = ((f_off >= fp[:, n_off + j][:, None]) * i_off).sum(axis=1)
-    p_minus = counts / (n_off + 1)
-    p_plus = (counts + 1) / (n_off + 1)
-    profile = elond_selection_profile(p_minus, p_plus, rule.alpha, rule.gamma)
-    return profile[:, -1]
+# e-value selection is a cutoff rule: its name binds the same closed form.
+elond_set = conformal_pvalue_set
 
 
 def earlier_outcome_set(
@@ -331,20 +271,14 @@ def earlier_outcome_set(
     interval gets one threshold; the partition boundaries themselves are
     decided by direct p-value evaluation.
     """
-    if data.n_offline:
-        raise ConfigurationError("the partition form is defined on plain online sequences")
-    _check_domain(data, perms)
+    mu_points, point_scores = _observed(data, rule, score, perms)
     t = data.t
     if t == 1:
         return IntervalUnionSet((), (math.inf,), ())
-    mu_points = rule.point_values(data.full_x())
-    if not rule.decide(mu_points, data.y, None, 0):
-        raise PreconditionError("the observed point was not selected")
     weights = recency_weights(t - 1, rule.decay)
 
     breakpoints = np.sort(mu_points[: t - 1])
     full_y = data.full_y()
-    point_scores = score_each_point(score, data.full_x(), full_y)
     test_slot = t - 1
 
     P = perms.matrix

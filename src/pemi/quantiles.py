@@ -2,9 +2,10 @@
 
 Two distinct conventions coexist and are kept separate on purpose:
 
-* ``augmented_quantile`` ranks *within* the given multiset and falls back
-  to ``+inf`` when the rank exceeds its size — the form the closed-form
-  prediction-set thresholds need.
+* the closed-form prediction-set thresholds take the rank
+  ``coverage_rank(alpha, ref_size)`` *within* the moved-in scores through
+  ``kth_smallest_or_inf``, which falls back to ``+inf`` when the rank
+  exceeds their number;
 * ``inflated_quantile`` ranks within the multiset *plus one* appended
   ``+inf`` element — the usual split-conformal calibration quantile.
 """
@@ -21,7 +22,6 @@ from .errors import DomainError
 
 __all__ = [
     "kth_smallest_or_inf",
-    "augmented_quantile",
     "inflated_quantile",
     "weighted_quantile",
     "coverage_rank",
@@ -61,22 +61,6 @@ def exceeds_level(count: int, ref_size: int, alpha: float) -> bool:
         raise DomainError("ref_size must be >= 1")
     frac = Fraction(alpha)
     return count * frac.denominator > frac.numerator * ref_size
-
-
-def augmented_quantile(beta: float, values) -> float:
-    """Rank-``ceil(beta * n)`` element of ``values``, ``+inf`` past the end.
-
-    Defined for ``beta > 0`` only; ``beta`` may exceed 1, in which case (or
-    when ``values`` is empty) the augmented ``+inf`` element is returned.
-    """
-    if beta <= 0:
-        raise DomainError(f"quantile level must be > 0, got {beta}")
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return math.inf
-    frac = Fraction(beta) * v.size
-    k = -(-frac.numerator // frac.denominator)
-    return kth_smallest_or_inf(k, v)
 
 
 def inflated_quantile(beta: float, values) -> float:

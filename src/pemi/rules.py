@@ -10,6 +10,9 @@ covariate rule (``covariate_only``: the decision never reads labels)
 decides from the values alone: ``select_values`` is its reference, and one
 batched kernel over an ``(R, T)`` array of permuted values serves the
 closed forms in ``pemi.fast``, which pick their construction by rule type.
+A cutoff rule reads each label only through its side of its cutoff:
+``CutoffRule.selects_last`` on side indicators is both its reference and
+its batched kernel.
 
 Rules are immutable and pure; evaluation on permuted sequences happens by
 indexing the permuted order, never by mutating state.
@@ -33,6 +36,7 @@ from .types import OrderedSequence
 __all__ = [
     "SelectionRule",
     "CovariateRule",
+    "CutoffRule",
     "AlwaysSelectRule",
     "NeverSelectRule",
     "DecisionDrivenRule",
@@ -370,8 +374,39 @@ def _pvalue_column(
     return num / denom[j]
 
 
+class CutoffRule(SelectionRule):
+    """A rule that reads each label only through its side of its own cutoff.
+
+    ``point_values`` is the cutoff score ``f_score(X, cutoffs)``.  ``decide``
+    turns the labeled slots into side indicators ``labels <= cutoffs``
+    (the test slot carries 0, which no decision reads) and hands them to
+    ``selects_last``, the one kernel for an ``(n,)`` history or every row of
+    an ``(R, n)`` batch; the two-sided closed form calls the same kernel
+    with the test point's indicator fixed to either side.
+    """
+
+    needs_cutoffs: ClassVar[bool] = True
+
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        return np.asarray(self.f_score(X, cutoffs), dtype=float)
+
+    @abc.abstractmethod
+    def selects_last(self, fhat: np.ndarray, indicators: np.ndarray, n_offline: int) -> np.ndarray:
+        """Whether the last slot is selected, on one (n,) history or on every row of an (R, n) batch."""
+
+    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
+        return bool(self.selects_last(values, _sides(labels, cutoffs), n_offline))
+
+
+def _sides(labels: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Side indicators of the labeled slots followed by a 0 for the test slot."""
+    indicators = np.zeros(labels.shape[0] + 1)
+    indicators[:-1] = labels <= cutoffs
+    return indicators
+
+
 @dataclass(frozen=True)
-class ConformalPValueRule(SelectionRule):
+class ConformalPValueRule(CutoffRule):
     """Select when the weighted clipped conformal p-value clears the
     (fixed or adaptive) per-step testing level."""
 
@@ -379,16 +414,11 @@ class ConformalPValueRule(SelectionRule):
     engine: ThresholdEngine
     decay: float | None = None
 
-    needs_cutoffs: ClassVar[bool] = True
     online_only: ClassVar[bool] = True
 
-    def point_values(self, X: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f_score(X, cutoffs), dtype=float)
-
-    def selects_last(self, fhat: np.ndarray, indicators: np.ndarray) -> np.ndarray:
-        """Whether the last slot is selected, on one (T,) history or on every
-        row of an (R, T) batch.  When the engine's last level does not read
-        the earlier p-values, only the last p-value is computed."""
+    def selects_last(self, fhat: np.ndarray, indicators: np.ndarray, n_offline: int) -> np.ndarray:
+        """When the engine's last level does not read the earlier p-values,
+        only the last p-value is computed."""
         T = fhat.shape[-1]
         weights = recency_weights(T, self.decay)
         level = self.engine.history_free_level(T)
@@ -398,14 +428,12 @@ class ConformalPValueRule(SelectionRule):
         alphas = self.engine.alphas(p) if p.ndim == 1 else self.engine.alphas_batch(p)
         return p[..., -1] <= alphas[..., -1]
 
-    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
-        indicators = np.zeros(values.shape[0])
-        indicators[:-1] = labels <= cutoffs
-        return bool(self.selects_last(values, indicators))
+
+_COUNT_BLOCK = 4096  # entries of e-LOND's count temporary
 
 
 @dataclass(frozen=True)
-class ELondRule(SelectionRule):
+class ELondRule(CutoffRule):
     """Select by thresholding conformal e-values with discovery-scaled
     levels, calibrating the underlying p-values against an offline block.
 
@@ -420,24 +448,33 @@ class ELondRule(SelectionRule):
     alpha: float
     gamma: Callable[[int], float] = default_gamma
 
-    needs_cutoffs: ClassVar[bool] = True
     needs_offline: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ConfigurationError(f"alpha must be in (0,1), got {self.alpha}")
 
-    def point_values(self, X: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f_score(X, cutoffs), dtype=float)
-
-    def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
-        return bool(self.decide_trajectory(values, labels, cutoffs, n_offline)[-1])
+    def selects_last(self, fhat: np.ndarray, indicators: np.ndarray, n_offline: int) -> np.ndarray:
+        return self._profile(fhat, indicators, n_offline)[..., -1]
 
     def decide_trajectory(self, values, labels, cutoffs, n_offline: int) -> tuple[int, ...]:
-        ind_off = (labels[:n_offline] <= cutoffs[:n_offline]).astype(float)
-        counts = (ind_off[None, :] * (values[None, :n_offline] >= values[n_offline:, None])).sum(axis=1)
+        return tuple(self._profile(values, _sides(labels, cutoffs), n_offline).astype(int).tolist())
+
+    def _profile(self, fhat: np.ndarray, indicators: np.ndarray, n_offline: int) -> np.ndarray:
+        """Selections at every online slot.  Step j counts the offline slots
+        whose label clears its cutoff and whose score reaches step j's.  The
+        steps are compared in blocks whose (rows, steps, offline slots)
+        temporary stays within ``_COUNT_BLOCK`` entries: a single history
+        mostly fits one block, a batch of permuted rows goes step by step.
+        The counts are integers, so every block size gives the same bits."""
+        f_off, i_off = fhat[..., None, :n_offline], indicators[..., None, :n_offline]
+        f_on = fhat[..., n_offline:, None]
+        counts = np.empty(f_on.shape[:-1])
+        step = max(1, _COUNT_BLOCK // max(f_off.size, 1))
+        for j in range(0, counts.shape[-1], step):
+            counts[..., j : j + step] = (i_off * (f_off >= f_on[..., j : j + step, :])).sum(axis=-1)
         p_minus, p_plus = counts / (n_offline + 1), (counts + 1) / (n_offline + 1)
-        return tuple(elond_selection_profile(p_minus, p_plus, self.alpha, self.gamma).astype(int).tolist())
+        return elond_selection_profile(p_minus, p_plus, self.alpha, self.gamma)
 
 
 def elond_selection_profile(

@@ -20,11 +20,11 @@ from pemi.engine import (
     pemi_pvalue_randomized,
 )
 from pemi.experiment import ExperimentConfig, run_experiment, write_outputs
-from pemi.fast import multi_test_threshold_set
+from pemi.fast import CalibrationDetail, multi_test_threshold_set
 from pemi.generators import GeneratorConfig, TrueMeanModel, generate
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import sample_permutations
-from pemi.quantiles import augmented_quantile, weighted_quantile
+from pemi.quantiles import weighted_quantile
 from pemi.rules import AlwaysSelectRule, weighted_pvalue_history
 from pemi.scores import AbsoluteResidualScore
 from pemi.thresholds import lond_threshold
@@ -279,21 +279,24 @@ def test_criterion_7_multi_test_coverage_and_swap_oracle(report):
 def test_criterion_8_unit_exactness(report):
     rng = np.random.default_rng(808)
     checks = 0
-    # augmented quantile: every rank against explicit sorting, n <= 10.
-    # levels sit strictly inside rank cells ((k - 1/2)/n) so the binary
-    # float value of the level cannot straddle an integer rank boundary.
+    # closed-form threshold: n moved-in scores in a reference of n + 2, every
+    # rank against explicit sorting, n <= 10.  Levels sit strictly inside
+    # rank cells (1 - (k - 1/2)/(n + 2)) so the binary float value of the
+    # level cannot straddle an integer rank boundary.
     for n in range(1, 11):
         values = rng.integers(-20, 20, size=n).astype(float)
         ordered = sorted(values)
+        detail = CalibrationDetail(ref_size=n + 2, moved_scores=values)
         for k in range(1, n + 3):
-            got = augmented_quantile((k - 0.5) / n, values)
+            got = detail.threshold(1 - (k - 0.5) / (n + 2)).threshold
             expect = ordered[k - 1] if k <= n else math.inf
             assert got == expect
             checks += 1
     # dyadic levels have one exact reading; check the rank formula literally
-    assert augmented_quantile(1.0, [3.0, 1.0, 2.0]) == 3.0
-    assert augmented_quantile(1.5, [1.0, 2.0, 3.0, 4.0]) == math.inf
-    assert augmented_quantile(0.5, [1.0, 2.0, 3.0, 4.0]) == 2.0
+    four = np.array([3.0, 1.0, 2.0, 4.0])
+    assert CalibrationDetail(ref_size=4, moved_scores=four).threshold(0.25).threshold == 3.0
+    assert CalibrationDetail(ref_size=8, moved_scores=four).threshold(0.25).threshold == math.inf
+    assert CalibrationDetail(ref_size=4, moved_scores=four).threshold(0.5).threshold == 2.0
     checks += 3
     # weighted quantile: integer weights, against cumulative enumeration
     for n in range(1, 11):

@@ -206,3 +206,37 @@ def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, ent
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "entry, flag",
+    [
+        ("rule: always", ["--rule", "decision_driven"]),
+        ("rule:", ["--rule", "always"]),
+        ("score: abs_residual", ["--score", "abs_residual"]),
+    ],
+)
+def test_name_flag_over_a_non_mapping_section_is_a_config_error(tmp_path, capsys, entry, flag):
+    cfg = tmp_path / "cfg.yaml"
+    key = entry.split(":")[0]
+    lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key}:")]
+    cfg.write_text("\n".join(lines + [entry]) + "\n")
+    assert main(["run", "--config", str(cfg), *flag, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: config key '{key}' has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "log, where",
+    [
+        ("rep,t,method,covered\n0,1,pemi_det,1\n", "events.csv:2:"),
+        ("rep,t,method,covered,size\n0,1,pemi_det,1,2.5\n0,2,pemi_det,0,abc\n", "events.csv:3:"),
+    ],
+    ids=["no size column", "size cell abc"],
+)
+def test_malformed_event_log_is_a_data_error(tmp_path, capsys, log, where):
+    events = tmp_path / "events.csv"
+    events.write_text(log)
+    assert main(["report", "--events", str(events), "--out", str(tmp_path / "m.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and where in err
+    assert not (tmp_path / "m.csv").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from pemi import fast
 from pemi.crosscheck import FAMILIES, check_instance, draw_instance
 from pemi.engine import TopPredictionRule, pemi_pvalue, pemi_set_grid, reference_mask
-from pemi.errors import ConfigurationError, PreconditionError
+from pemi.errors import ConfigurationError, DomainError, PemiError, PreconditionError
 from pemi.oracle import all_orders_sample, full_pemi_set_grid
 from pemi.permutations import identity_sequence, sample_permutations
 from pemi.quantiles import kth_smallest_or_inf
@@ -17,6 +18,7 @@ from pemi.rules import (
     ConformalPValueRule,
     DecisionDrivenRule,
     EarlierOutcomeRule,
+    ELondRule,
     NeverSelectRule,
     SelectionTaxonomy,
     UncertaintyBudgetRule,
@@ -210,16 +212,6 @@ def test_conformal_pvalue_no_exceedances_floor():
     assert p[-1] == pytest.approx(1 / 3)
 
 
-def test_conformal_set_requires_cutoffs(rng, residual_score):
-    data = make_sequence(rng, t=4)  # no cutoffs
-    rule = ConformalPValueRule(
-        f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c), engine=FixedThreshold(0.5)
-    )
-    perms = sample_permutations(4, 5, seed=0)
-    with pytest.raises(ConfigurationError):
-        fast.conformal_pvalue_set(data, rule, residual_score, perms, 0.4)
-
-
 # -- earlier outcomes ---------------------------------------------------------
 
 
@@ -297,14 +289,6 @@ def test_earlier_outcome_t1_everything(residual_score):
 # -- e-LOND -------------------------------------------------------------------
 
 
-def test_elond_missing_offline_is_config_error(rng, residual_score):
-    data = make_sequence(rng, t=3, cutoffs=True)
-    inst_rule = draw_instance("elond", np.random.default_rng(0), 3).rule
-    perms = sample_permutations(3, 5, seed=0)
-    with pytest.raises(ConfigurationError):
-        fast.elond_set(data, inst_rule, residual_score, perms, 0.4)
-
-
 def test_elond_identity_in_both_side_references(rng):
     inst = draw_instance("elond", np.random.default_rng(7), 4)
     perms = sample_permutations(4, 10, seed=1, n_offline=inst.data.n_offline)
@@ -314,14 +298,16 @@ def test_elond_identity_in_both_side_references(rng):
     assert dset.q_above >= -math.inf and dset.q_below >= -math.inf
 
 
-def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
+@pytest.mark.parametrize("n_offline", [0, 2])
+def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score, n_offline):
     """The trajectory-pinned reference (FCR construction) and a predicate
     taxonomy must agree with the generic engine's taxonomy route on a label
-    grid, with and without sampled permutations."""
+    grid, with and without sampled permutations; with an offline block the
+    trajectory covers the online steps only."""
     checked = 0
     grid = np.linspace(-4, 4, 31)
     for trial in range(60):
-        data = make_sequence(rng, t=int(rng.integers(3, 7)))
+        data = make_sequence(rng, t=int(rng.integers(3, 7)), n_offline=n_offline)
         rule = DecisionDrivenRule(tau0=20.0, tau1=-0.5, mu=MU)
         seq = identity_sequence(data, 0.0)
         traj = rule.trajectory(seq)
@@ -333,7 +319,7 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
         )
         for taxonomy in taxonomies:
             for m in (0, 15):
-                perms = sample_permutations(data.t, m, seed=trial)
+                perms = sample_permutations(data.t, m, seed=trial, n_offline=n_offline)
                 dset = fast.covariate_set(data, rule, residual_score, perms, 0.4, taxonomy)
                 generic = pemi_set_grid(
                     grid, data, rule, residual_score, perms, 0.4, taxonomy=taxonomy
@@ -344,6 +330,59 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score):
         if checked >= 8:
             return
     pytest.fail("not enough selected instances drawn")
+
+
+# -- rule needs --------------------------------------------------------------
+
+
+def _cutoff_score(X, c):
+    return np.asarray(X[:, 0]) - np.asarray(c)
+
+
+def _without_offline_cutoffs(rng):
+    data = make_sequence(rng, t=4, cutoffs=True, n_offline=3)
+    return dataclasses.replace(data, offline_cutoffs=None)
+
+
+NEEDS_CASES = {
+    "conformal without cutoffs": (
+        lambda rng: make_sequence(rng, t=4),
+        ConformalPValueRule(f_score=_cutoff_score, engine=FixedThreshold(0.5)),
+        ConfigurationError,
+    ),
+    "conformal with an offline block": (
+        lambda rng: make_sequence(rng, t=4, cutoffs=True, n_offline=3),
+        ConformalPValueRule(f_score=_cutoff_score, engine=FixedThreshold(0.5)),
+        ConfigurationError,
+    ),
+    "earlier outcome with an offline block": (
+        lambda rng: make_sequence(rng, t=4, n_offline=3),
+        EarlierOutcomeRule(mu=MU, beta_sel=0.5),
+        ConfigurationError,
+    ),
+    "elond without an offline block": (
+        lambda rng: make_sequence(rng, t=4, cutoffs=True),
+        ELondRule(f_score=_cutoff_score, alpha=0.5),
+        ConfigurationError,
+    ),
+    "elond without offline cutoffs": (
+        _without_offline_cutoffs,
+        ELondRule(f_score=_cutoff_score, alpha=0.5),
+        DomainError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NEEDS_CASES)
+def test_closed_form_rejects_a_sequence_like_the_engine(rng, residual_score, case):
+    make, rule, expected = NEEDS_CASES[case]
+    data = make(rng)
+    perms = sample_permutations(data.t, 5, seed=0, n_offline=data.n_offline)
+    with pytest.raises(PemiError) as closed:
+        fast._closed_form(data, rule, residual_score, perms, 0.4)
+    with pytest.raises(PemiError) as engine:
+        pemi_pvalue(0.0, data, rule, residual_score, perms)
+    assert type(closed.value) is type(engine.value) is expected
 
 
 # -- the one-stop consistency battery ----------------------------------------

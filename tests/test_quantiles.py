@@ -7,36 +7,11 @@ from hypothesis import strategies as st
 
 from pemi.errors import DomainError
 from pemi.quantiles import (
-    augmented_quantile,
     coverage_rank,
     inflated_quantile,
     kth_smallest_or_inf,
     weighted_quantile,
 )
-
-finite = st.floats(-1e6, 1e6, allow_nan=False)
-
-
-def test_augmented_quantile_examples():
-    assert augmented_quantile(1.0, [3, 1, 2]) == 3
-    assert augmented_quantile(6 / 4, [1, 2, 3, 4]) == math.inf
-    assert augmented_quantile(0.5, [1, 2, 3, 4]) == 2
-
-
-def test_augmented_quantile_empty_and_domain():
-    assert augmented_quantile(0.5, []) == math.inf
-    with pytest.raises(DomainError):
-        augmented_quantile(0.0, [1.0])
-    with pytest.raises(DomainError):
-        augmented_quantile(-1.0, [1.0])
-
-
-@given(st.lists(finite, min_size=1, max_size=12), st.floats(0.01, 2.0), st.floats(0.01, 2.0))
-def test_augmented_quantile_monotone_and_member(values, b1, b2):
-    lo, hi = sorted((b1, b2))
-    q_lo, q_hi = augmented_quantile(lo, values), augmented_quantile(hi, values)
-    assert q_lo <= q_hi
-    assert q_hi in set(values) | {math.inf}
 
 
 def test_weighted_quantile_examples():

@@ -17,6 +17,7 @@ from pemi.rules import (
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
+    elond_selection_profile,
     recency_weights,
     weighted_pvalue_history,
 )
@@ -28,6 +29,10 @@ from pemi.types import DataSequence, OrderedSequence
 from conftest import make_sequence
 
 MU = LinearModel(intercept=0.0, coef=(1.0,))  # identity on 1-d features
+
+
+def cutoff_score(X, c):
+    return np.asarray(X[:, 0]) - np.asarray(c)
 
 
 def seq_from_mu(past_mu, test_mu, ys=None):
@@ -127,28 +132,35 @@ def test_covariate_only_rules_ignore_labels(seed):
         assert rule.select(seq) == rule.select(relabeled)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_cutoff_binary_rules_see_labels_only_through_sides(seed):
+@pytest.mark.parametrize(
+    "rule, n_offline",
+    [
+        (ConformalPValueRule(f_score=cutoff_score, engine=FixedThreshold(0.5)), 0),
+        (ELondRule(f_score=cutoff_score, alpha=0.9, gamma=lambda j: 0.5), 3),
+    ],
+    ids=["conformal", "elond"],
+)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cutoff_binary_rules_see_labels_only_through_sides(rule, n_offline, seed):
     rng = np.random.default_rng(seed)
     t = int(rng.integers(2, 8))
-    seq_data = make_sequence(rng, t=t, cutoffs=True)
-    rule = ConformalPValueRule(
-        f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c),
-        engine=FixedThreshold(0.5),
-    )
+    seq_data = make_sequence(rng, t=t, cutoffs=True, n_offline=n_offline)
     base = identity_sequence(seq_data, y=0.0)
     # move each label anywhere on the same side of its own cutoff
+    n = base.prefix_y.shape[0]
     side = base.prefix_y <= base.prefix_cutoffs
-    shifted = np.where(side, base.prefix_cutoffs - rng.uniform(0.1, 3.0, t - 1),
-                       base.prefix_cutoffs + rng.uniform(0.1, 3.0, t - 1))
+    shifted = np.where(side, base.prefix_cutoffs - rng.uniform(0.1, 3.0, n),
+                       base.prefix_cutoffs + rng.uniform(0.1, 3.0, n))
     moved = OrderedSequence(
         prefix_x=base.prefix_x,
         prefix_y=shifted,
         final_x=base.final_x,
         prefix_cutoffs=base.prefix_cutoffs,
         final_cutoff=base.final_cutoff,
+        n_offline=n_offline,
     )
     assert rule.select(base) == rule.select(moved)
+    assert rule.trajectory(base) == rule.trajectory(moved)
 
 
 # -- conformal p-value rules --------------------------------------------------
@@ -197,7 +209,7 @@ def test_fixed_level_reads_the_last_history_column_bit_for_bit(T, R, decay):
     # a level placed exactly on a p-value decides like the full history
     for q in np.unique(last[last < 1])[:5]:
         rule = ConformalPValueRule(f_score=None, engine=FixedThreshold(float(q)), decay=decay)
-        assert np.array_equal(rule.selects_last(fhat, ind), last <= q)
+        assert np.array_equal(rule.selects_last(fhat, ind, 0), last <= q)
 
 
 @pytest.mark.parametrize(
@@ -339,6 +351,41 @@ def test_recency_weights_are_shared_read_only_and_checked_on_every_call():
     for _ in range(2):
         with pytest.raises(ConfigurationError):
             recency_weights(3, -1.0)
+
+
+def _elond_profile_by_broadcast(rule, fhat, labels, cutoffs, n_offline):
+    """e-LOND decisions at every online step of one row, each step's count
+    taken over all offline slots in one broadcast comparison."""
+    ind_off = labels[:n_offline] <= cutoffs[:n_offline]
+    counts = (ind_off[None, :] * (fhat[None, :n_offline] >= fhat[n_offline:, None])).sum(axis=1)
+    p_minus, p_plus = counts / (n_offline + 1), (counts + 1) / (n_offline + 1)
+    return elond_selection_profile(p_minus, p_plus, rule.alpha, rule.gamma)
+
+
+@pytest.mark.parametrize("R", [1, 200])
+@pytest.mark.parametrize("t", [1, 2, 7, 60])
+@pytest.mark.parametrize("n_offline", [1, 3, 20])
+def test_elond_batch_and_trajectory_decide_like_each_row_bit_for_bit(n_offline, t, R):
+    rng = np.random.default_rng(n_offline * 1000 + t * 10 + R)
+    n = n_offline + t
+    rule = ELondRule(f_score=cutoff_score, alpha=0.9, gamma=lambda j: 0.6 / j)
+    fhat = np.round(rng.normal(size=(R, n)), 1)  # a coarse grid gives ties
+    labels = rng.normal(size=(R, n - 1))
+    cutoffs = rng.normal(size=(R, n - 1))
+    # the test slot's side bit is never read: random here, 0 in ``decide``
+    ind = np.concatenate([labels <= cutoffs, rng.random((R, 1)) < 0.5], axis=1).astype(float)
+    batch = rule.selects_last(fhat, ind, n_offline)
+    rows = [rule.decide(fhat[r], labels[r], cutoffs[r], n_offline) for r in range(R)]
+    assert np.array_equal(batch, rows)
+    for r in range(min(R, 3)):
+        traj = rule.decide_trajectory(fhat[r], labels[r], cutoffs[r], n_offline)
+        prefixes = [
+            int(rule.decide(fhat[r, : k + 1], labels[r, :k], cutoffs[r, :k], n_offline))
+            for k in range(n_offline, n)
+        ]
+        assert np.array_equal(traj, prefixes)
+        reference = _elond_profile_by_broadcast(rule, fhat[r], labels[r], cutoffs[r], n_offline)
+        assert np.array_equal(traj, reference)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
