@@ -39,18 +39,16 @@ from .errors import (
     SchemaError,
 )
 from .fast import multi_test_threshold_set
-from .permutations import permute_with_imputation, sample_permutations
+from .permutations import sample_permutations
 from .quantiles import weighted_quantile
-from .types import DataSequence, MultiTestData, OrderedSequence, PermutationSample
+from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
     "DataSequence",
     "MultiTestData",
-    "OrderedSequence",
     "PermutationSample",
     "SelectionPValue",
     "sample_permutations",
-    "permute_with_imputation",
     "weighted_quantile",
     "pemi_pvalue",
     "pemi_pvalue_randomized",

@@ -17,7 +17,7 @@ from . import fast
 from .engine import pemi_set_grid
 from .errors import PemiError
 from .oracle import all_orders_sample
-from .permutations import identity_sequence, sample_permutations
+from .permutations import sample_permutations
 from .rules import (
     ConformalPValueRule,
     DecisionDrivenRule,
@@ -71,10 +71,6 @@ def _random_linear(rng: np.random.Generator, d: int) -> LinearModel:
     return LinearModel(
         intercept=float(rng.normal()), coef=tuple(float(c) for c in rng.normal(size=d))
     )
-
-
-def _selected(data: DataSequence, rule: SelectionRule) -> bool:
-    return bool(rule.select(identity_sequence(data, 0.0)))
 
 
 def draw_instance(family: str, rng: np.random.Generator, t: int) -> Instance:
@@ -147,7 +143,7 @@ def draw_instance(family: str, rng: np.random.Generator, t: int) -> Instance:
             data = DataSequence(x=X[:-1], y=Y[:-1], test_x=X[-1])
         else:
             raise PemiError(f"unknown family {family!r}")
-        if _selected(data, rule):
+        if rule.select(data):
             return Instance(family=family, data=data, rule=rule, score=score, alpha=alpha, u=u)
     raise PemiError(f"could not draw a selected {family} instance after 500 tries")
 

@@ -9,9 +9,9 @@ scores by direct evaluation — the closed-form module reproduces these
 answers without enumerating candidate labels.
 
 A rule's point values depend on each point alone, so a call imputes the
-label and evaluates the model once; each sampled permutation only indexes
-those slot arrays and replays the rule's scalar reference decision, never
-a batched kernel.
+label and evaluates the model once (``rule.replay``); each sampled
+permutation only indexes those slot arrays and replays the rule's scalar
+reference decision, never a batched kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .permutations import _impute_label
 from .quantiles import exceeds_level
 from .rules import SelectionRule, SelectionTaxonomy
 from .scores import ConformityScore, LastPointScore
@@ -81,18 +80,17 @@ def reference_mask(
     With a taxonomy, membership additionally requires the whole permuted
     selection trajectory to stay inside it.  The identity is not part of
     the sample and is accounted for separately by the p-value functions.
-    Each row decides like ``rule.select`` on the sequence that
-    ``permute_with_imputation`` gives, replaying ``rule.decide`` on values
-    computed once per call.
+    Each row replays ``rule.decide`` on the arguments that ``rule.replay``
+    gives under that row's order, with the values computed once per call.
     """
     _check_domain(data, perms)
-    reorder = _impute_label(data, y, rule)
+    arguments = rule.replay(data, y)
     out = np.zeros(perms.m, dtype=bool)
     for i, order in enumerate(perms.matrix):
         if taxonomy is None:
-            out[i] = rule.decide(*reorder(order))
+            out[i] = rule.decide(*arguments(order))
         else:
-            traj = rule.decide_trajectory(*reorder(order))
+            traj = rule.decide_trajectory(*arguments(order))
             out[i] = traj[-1] == 1 and taxonomy.contains(traj)
     return out
 

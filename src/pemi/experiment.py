@@ -47,7 +47,7 @@ from .rules import (
 from .scores import AbsoluteResidualScore, LastPointScore, fit_linear_model
 from .sets import ThresholdSet
 from .thresholds import FixedThreshold, LondEngine
-from .types import DataSequence, OrderedSequence
+from .types import DataSequence
 
 __all__ = [
     "ExperimentConfig",
@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise ConfigurationError("M must be >= 0")
         if self.offline_n < 0:
             raise ConfigurationError("offline_n must be >= 0")
+        if self.workers < 1:
+            raise ConfigurationError(f"config key 'workers' must be >= 1, got {self.workers}")
+        if not self.methods:
+            raise ConfigurationError("config key 'methods' must name at least one method")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigurationError(f"unknown methods {bad}; choose from {METHODS}")
@@ -417,9 +421,7 @@ def _stream_for_rep(res: ResolvedExperiment, rep: int, rng: np.random.Generator)
 
 def _observed_trajectory(res: ResolvedExperiment, X, Y, cuts) -> np.ndarray:
     """Selection decisions s_1..s_T on the observed online stream, from point values computed once."""
-    cut = (None, None) if cuts is None else (cuts[:-1], float(cuts[-1]))
-    seq = OrderedSequence(X[:-1], Y[:-1], X[-1], *cut, n_offline=res.config.offline_n)
-    return np.asarray(res.rule.trajectory(seq), dtype=bool)
+    return np.asarray(res.rule.trajectory(_data_at(res, X, Y, cuts, res.config.T)), dtype=bool)
 
 
 def _data_at(res: ResolvedExperiment, X, Y, cuts, t: int) -> DataSequence:
@@ -565,8 +567,9 @@ def _write_metrics(path: Path, rows: Sequence[MetricsRow]) -> None:
 def recompute_metrics(events_path: str | Path, out_path: str | Path | None = None) -> list[MetricsRow]:
     """Rebuild the per-time aggregates from an event log (audit path).
 
-    A row that lacks a column or holds a cell that does not parse is a
-    ``ParseError`` naming ``path:line``.
+    A row that lacks a column, holds a cell that does not parse, a
+    ``covered`` other than 0 or 1, or a NaN or negative ``size`` is a
+    ``ParseError`` naming ``path:line``; an infinite size is valid.
     """
     import csv as _csv
 
@@ -575,14 +578,11 @@ def recompute_metrics(events_path: str | Path, out_path: str | Path | None = Non
         reader = _csv.DictReader(fh)
         for row in reader:
             try:
+                covered, size = int(row["covered"]), float(row["size"])
+                if covered not in (0, 1) or not size >= 0:
+                    raise ValueError
                 events.append(
-                    Event(
-                        rep=int(row["rep"]),
-                        t=int(row["t"]),
-                        method=row["method"],
-                        covered=int(row["covered"]),
-                        size=float(row["size"]),
-                    )
+                    Event(rep=int(row["rep"]), t=int(row["t"]), method=row["method"], covered=covered, size=size)
                 )
             except (KeyError, TypeError, ValueError):  # a short row leaves None cells
                 raise ParseError(f"{events_path}:{reader.line_num}: cannot parse event {row}") from None

@@ -14,8 +14,8 @@ Four structures make this possible:
   index, so again a single threshold.
 
 The single-test constructors share one front end, ``_observed``: it
-checks the permutations against the sequence, computes the rule's point
-values the way the generic engine's label step does (which is where a
+checks the permutations against the sequence, gets the rule's point
+values from ``rule.replay`` as the generic engine does (which is where a
 rule's needs, such as cutoffs or an offline block, are enforced), checks
 that the rule selects the observed point, and scores the labeled points.
 Every construction builds a selection-preserving reference mask and then
@@ -90,12 +90,10 @@ def _observed(
     test slot), once ``perms`` acts on ``data``, the rule can run on it and
     the rule selects the observed point."""
     _check_domain(data, perms)
-    cut = data.full_cutoffs()
-    values = rule._slot_values(data.full_x(), cut, data.n_offline)
-    labels = data.full_y()[:-1]
-    if not rule.decide(values, labels, None if cut is None else cut[:-1], data.n_offline):
+    observed = rule.replay(data, math.nan)(None)
+    if not rule.decide(*observed):
         raise PreconditionError("the observed point was not selected")
-    return values, score_each_point(score, data.full_x(), data.full_y())
+    return observed[0], score_each_point(score, data.full_x(), data.full_y())
 
 
 def _calibration(
@@ -137,7 +135,9 @@ def _closed_form(
 def _taxonomy_mask(traj: np.ndarray, taxonomy: SelectionTaxonomy) -> np.ndarray:
     if taxonomy.trajectories is not None and len(taxonomy.trajectories) == 1:
         (target,) = taxonomy.trajectories
-        return traj[:, -1] & np.all(traj == np.asarray(target, dtype=bool), axis=1)
+        if len(target) != traj.shape[1]:  # no trajectory of another length is a member
+            return np.zeros(traj.shape[0], dtype=bool)
+        return traj[:, -1] & np.all(traj == np.asarray(target), axis=1)
     keep = np.array([taxonomy.contains(tuple(int(v) for v in row)) for row in traj], dtype=bool)
     return traj[:, -1] & keep
 

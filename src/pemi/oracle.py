@@ -14,9 +14,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .engine import MultiTestRule, SelectionPValue, _single_test
+from .engine import MultiTestRule, SelectionPValue, _single_test, reference_mask
 from .errors import GuardError, PreconditionError
-from .permutations import permute_with_imputation
 from .quantiles import inflated_quantile
 from .rules import SelectionRule
 from .scores import ConformityScore, LastPointScore
@@ -137,13 +136,11 @@ def permutation_fcp_pvalue(
 def _assert_symmetric(rule: SelectionRule, data: DataSequence, n_checks: int = 20) -> None:
     """Empirically reject rules that are sensitive to prefix order."""
     rng = np.random.default_rng(7)
-    base = permute_with_imputation(data, np.arange(data.n_slots), 0.0)
-    ref = rule.select(base)
     n = data.n_slots
-    for _ in range(n_checks):
-        order = np.concatenate([rng.permutation(n - 1), [n - 1]])
-        if rule.select(permute_with_imputation(data, order, 0.0)) != ref:
-            raise PreconditionError("rule is not permutation-invariant in the labeled prefix")
+    shuffles = [np.concatenate([rng.permutation(n - 1), [n - 1]]) for _ in range(n_checks)]
+    mask = reference_mask(0.0, data, rule, PermutationSample(np.array(shuffles), seed=0, n_points=n))
+    if np.any(mask != rule.select(data)):
+        raise PreconditionError("rule is not permutation-invariant in the labeled prefix")
 
 
 def jomi_reference(
@@ -159,13 +156,10 @@ def jomi_reference(
     if check_symmetry:
         _assert_symmetric(rule, data)
     n = data.n_slots
-    keep = []
-    for i in range(n - 1):
-        order = np.arange(n)
-        order[i], order[n - 1] = n - 1, i
-        if rule.select(permute_with_imputation(data, order, y)):
-            keep.append(i)
-    return keep
+    swaps, i = np.tile(np.arange(n), (n - 1, 1)), np.arange(n - 1)
+    swaps[i, i], swaps[i, -1] = n - 1, i
+    mask = reference_mask(y, data, rule, PermutationSample(swaps, seed=0, n_points=n))
+    return np.flatnonzero(mask).tolist()
 
 
 def jomi_set_symmetric(

@@ -1,4 +1,4 @@
-"""Seeded permutation sampling and imputation-aware application.
+"""Seeded permutation sampling.
 
 Sampling uses the counter-based Philox generator keyed by ``(seed, domain
 size)``, so a sample is a pure function of ``(seed, t, M)`` on every
@@ -11,16 +11,13 @@ uniforms.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError
-from .types import DataSequence, OrderedSequence, PermutationSample
+from .types import PermutationSample
 
 __all__ = [
     "sample_permutations",
-    "permute_with_imputation",
     "row_uniforms",
 ]
 
@@ -94,50 +91,3 @@ def sample_permutations(
         uniforms = gen.random((M, k))
         matrix = _fisher_yates_rows(uniforms, n_points)
     return PermutationSample(matrix=matrix, seed=seed, n_points=n_points, index_start=index_start)
-
-
-def permute_with_imputation(seq: DataSequence, order: np.ndarray, y: float) -> OrderedSequence:
-    """Reorder a sequence by ``order`` with ``y`` imputed for the test label.
-
-    ``order[s]`` is the slot whose point moves to slot ``s``.  The slot
-    holding the test point carries ``(test_x, y)`` whenever it lands in a
-    labeled position; the final slot exposes covariates only.  Cutoffs
-    travel with their points.
-    """
-    order = np.asarray(order, dtype=np.int64)
-    if order.shape != (seq.n_slots,):
-        raise DomainError(f"permutation domain size {order.shape} != sequence slots {seq.n_slots}")
-    head, last = order[:-1], order[-1]
-    full_x, cut = seq.full_x(), seq.full_cutoffs()
-    return OrderedSequence(
-        prefix_x=full_x[head],
-        prefix_y=np.append(seq.full_y()[:-1], y)[head],
-        final_x=full_x[last],
-        prefix_cutoffs=None if cut is None else cut[head],
-        final_cutoff=None if cut is None else float(cut[last]),
-        n_offline=seq.n_offline,
-    )
-
-
-def _impute_label(seq: DataSequence, y: float, rule) -> Callable[[np.ndarray], tuple]:
-    """Impute ``y`` in the test slot and evaluate ``rule``'s point values once;
-    the returned function gives the arguments of ``rule.decide`` under one order.
-
-    A point's value depends on that point alone, so the row step only indexes the slot-order
-    values, labels and cutoffs; ``order`` must be an int64 permutation of the slots (unchecked).
-    """
-    cut = seq.full_cutoffs()
-    n_offline = seq.n_offline
-    values = rule._slot_values(seq.full_x(), cut, n_offline)
-    labels = np.append(seq.full_y()[:-1], y)
-
-    def reorder(order: np.ndarray) -> tuple:
-        head = order[:-1]
-        return values[order], labels[head], None if cut is None else cut[head], n_offline
-
-    return reorder
-
-
-def identity_sequence(seq: DataSequence, y: float) -> OrderedSequence:
-    """The unpermuted sequence with ``y`` imputed (identity application)."""
-    return permute_with_imputation(seq, np.arange(seq.n_slots), y)

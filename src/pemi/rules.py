@@ -3,9 +3,12 @@
 A rule reads each point through one value, ``point_values(X, cutoffs)``:
 a model output that depends on that point alone (the covariates
 themselves by default).  ``decide`` is the readable reference decision on
-slot-ordered values plus the labels and cutoffs of the labeled prefix;
-``select`` and ``trajectory`` on a materialized sequence, the generic
-engine and the oracle all reach it with the values computed once.  A
+slot-ordered values plus the labels and cutoffs of the labeled prefix.
+``replay`` is the one step from a ``DataSequence`` to its arguments: it
+imputes the test label, checks what the rule needs and computes the
+values once, then gives the arguments under any slot order.  ``select``
+and ``trajectory`` (the observed order), the generic engine (each
+permuted row), the closed forms' front end and the oracle all use it.  A
 covariate rule (``covariate_only``: the decision never reads labels)
 decides from the values alone: ``select_values`` is its reference, and one
 batched kernel over an ``(R, T)`` array of permuted values serves the
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .scores import ModelFn
 from .thresholds import ThresholdEngine, default_gamma
-from .types import OrderedSequence
+from .types import DataSequence
 
 __all__ = [
     "SelectionRule",
@@ -106,27 +109,43 @@ class SelectionRule(abc.ABC):
             for k in range(n_offline, values.shape[0])
         )
 
-    def select(self, seq: OrderedSequence) -> bool:
-        return bool(self.decide(*self._sequence_arguments(seq)))
+    def replay(self, data: DataSequence, y: float) -> Callable[[np.ndarray | None], tuple]:
+        """Impute ``y`` as the test label and evaluate the point values once,
+        after checking that the rule can run on ``data``.
 
-    def trajectory(self, seq: OrderedSequence) -> tuple[int, ...]:
-        """Decisions on every online prefix of ``seq`` (length-i prefixes)."""
-        return self.decide_trajectory(*self._sequence_arguments(seq))
-
-    def _sequence_arguments(self, seq: OrderedSequence) -> tuple:
-        X = np.concatenate([seq.prefix_x, seq.final_x.reshape(1, -1)], axis=0)
-        cut = None if seq.prefix_cutoffs is None else np.append(seq.prefix_cutoffs, seq.final_cutoff)
-        return self._slot_values(X, cut, seq.n_offline), seq.prefix_y, seq.prefix_cutoffs, seq.n_offline
-
-    def _slot_values(self, X: np.ndarray, cutoffs, n_offline: int) -> np.ndarray:
-        """``point_values`` of a sequence's slots, once the rule can run on the sequence."""
-        if self.needs_cutoffs and cutoffs is None:
+        The returned function gives the arguments of ``decide`` with the
+        slots in ``order`` (an int64 permutation, unchecked), or in the
+        observed order for ``None``, which indexes nothing.  A
+        point's value depends on that point alone, so reordering only
+        indexes the slot-order values, labels and cutoffs.
+        """
+        cut = data.full_cutoffs()
+        n_offline = data.n_offline
+        if self.needs_cutoffs and cut is None:
             raise ConfigurationError("this rule needs per-point cutoffs on the sequence")
         if self.needs_offline and not n_offline:
             raise ConfigurationError("this rule needs a non-empty offline block")
         if self.online_only and n_offline:
             raise ConfigurationError("this rule runs on online slots only")
-        return self.point_values(X, cutoffs)
+        values = self.point_values(data.full_x(), cut)
+        labels = data.full_y().copy()
+        labels[-1] = y
+
+        def arguments(order: np.ndarray | None) -> tuple:
+            if order is None:
+                return values, labels[:-1], None if cut is None else cut[:-1], n_offline
+            head = order[:-1]
+            return values[order], labels[head], None if cut is None else cut[head], n_offline
+
+        return arguments
+
+    def select(self, data: DataSequence) -> bool:
+        """``decide`` on ``data`` in its observed order."""
+        return bool(self.decide(*self.replay(data, math.nan)(None)))
+
+    def trajectory(self, data: DataSequence) -> tuple[int, ...]:
+        """Decisions at every online step of ``data`` in its observed order."""
+        return self.decide_trajectory(*self.replay(data, math.nan)(None))
 
 
 # ---------------------------------------------------------------------------

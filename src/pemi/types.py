@@ -24,7 +24,6 @@ from .errors import DomainError
 
 __all__ = [
     "DataSequence",
-    "OrderedSequence",
     "PermutationSample",
     "MultiTestData",
 ]
@@ -143,49 +142,6 @@ class DataSequence:
         if self.cutoffs is not None and self._full_cutoffs is None:
             raise DomainError("offline block present but offline cutoffs missing")
         return self._full_cutoffs
-
-
-@dataclass(frozen=True)
-class OrderedSequence:
-    """A concrete ordered sequence as consumed by rules and scores.
-
-    The labeled prefix occupies slots ``0 .. n-2``; the final slot exposes
-    covariates only.  ``n_offline`` marks how many leading slots belong to
-    the offline block (slot positions keep that designation even after the
-    contents are permuted).
-    """
-
-    prefix_x: np.ndarray
-    prefix_y: np.ndarray
-    final_x: np.ndarray
-    prefix_cutoffs: np.ndarray | None = None
-    final_cutoff: float | None = None
-    n_offline: int = 0
-
-    @property
-    def length(self) -> int:
-        return int(self.prefix_y.shape[0]) + 1
-
-    @property
-    def online_length(self) -> int:
-        return self.length - self.n_offline
-
-    def prefix(self, i: int) -> "OrderedSequence":
-        """The sequence visible at online step ``i``: offline block plus the
-        first ``i-1`` online slots labeled, the ``i``-th online slot as test."""
-        if not 1 <= i <= self.online_length:
-            raise DomainError(f"prefix step {i} outside 1..{self.online_length}")
-        if i == self.online_length:
-            return self
-        k = self.n_offline + i - 1  # slot that becomes the final one
-        return OrderedSequence(
-            prefix_x=self.prefix_x[:k],
-            prefix_y=self.prefix_y[:k],
-            final_x=self.prefix_x[k],
-            prefix_cutoffs=None if self.prefix_cutoffs is None else self.prefix_cutoffs[:k],
-            final_cutoff=None if self.prefix_cutoffs is None else float(self.prefix_cutoffs[k]),
-            n_offline=self.n_offline,
-        )
 
 
 @dataclass(frozen=True)

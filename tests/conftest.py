@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,6 +28,36 @@ def make_sequence(rng: np.random.Generator, t: int, d: int = 2, cutoffs: bool = 
         if n_offline:
             kw.update(offline_cutoffs=rng.normal(size=n_offline))
     return DataSequence(x=X[:-1], y=Y[:-1], test_x=X[-1], **kw)
+
+
+def prefix(data: DataSequence, i: int) -> DataSequence:
+    """The sequence visible at online step ``i``: the offline block, the first
+    ``i - 1`` online points labeled and online point ``i`` as the test point."""
+    if i == data.t:
+        return data
+    cut = {}
+    if data.cutoffs is not None:
+        cut = dict(cutoffs=data.cutoffs[: i - 1], test_cutoff=float(data.cutoffs[i - 1]))
+    return dataclasses.replace(data, x=data.x[: i - 1], y=data.y[: i - 1], test_x=data.x[i - 1], **cut)
+
+
+def permuted(data: DataSequence, order: np.ndarray, y: float) -> DataSequence:
+    """``data`` with ``y`` imputed as the test label and slot ``s`` holding the
+    point of slot ``order[s]``, built as a new sequence; the leading slots stay
+    offline and the label that lands in the last slot is dropped."""
+    n_off = data.n_offline
+    x = data.full_x()[order]
+    labels = np.append(data.full_y()[:-1], y)[order]
+    kw = {}
+    if n_off:
+        kw.update(offline_x=x[:n_off], offline_y=labels[:n_off])
+    cut = data.full_cutoffs()
+    if cut is not None:
+        cut = cut[order]
+        kw.update(cutoffs=cut[n_off:-1], test_cutoff=float(cut[-1]))
+        if n_off:
+            kw.update(offline_cutoffs=cut[:n_off])
+    return DataSequence(x=x[n_off:-1], y=labels[n_off:-1], test_x=x[-1], **kw)
 
 
 @pytest.fixture

@@ -196,6 +196,9 @@ def test_offline_block_for_an_online_only_rule_fails_before_any_replication(
         ("rule: {name: elond, test_alpha: 5.0}\ncutoff: {value: 0.0}\noffline_n: 5", "alpha"),
         ("score: {name: abs_residual, model: {name: linear_fit, train_n: 0}}", "'train_n'"),
         ("methods: [pemi_det, vanilla, pemi_det]", "duplicate methods ['pemi_det']"),
+        ("methods: []", "'methods'"),
+        ("workers: 0", "'workers'"),
+        ("workers: -3", "'workers'"),
     ],
 )
 def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, entry, named):
@@ -230,8 +233,11 @@ def test_name_flag_over_a_non_mapping_section_is_a_config_error(tmp_path, capsys
     [
         ("rep,t,method,covered\n0,1,pemi_det,1\n", "events.csv:2:"),
         ("rep,t,method,covered,size\n0,1,pemi_det,1,2.5\n0,2,pemi_det,0,abc\n", "events.csv:3:"),
+        ("rep,t,method,covered,size\n0,1,pemi_det,7,2.5\n", "events.csv:2:"),
+        ("rep,t,method,covered,size\n0,1,pemi_det,1,inf\n0,2,pemi_det,1,nan\n", "events.csv:3:"),
+        ("rep,t,method,covered,size\n0,1,pemi_det,0,-3.0\n", "events.csv:2:"),
     ],
-    ids=["no size column", "size cell abc"],
+    ids=["no size column", "size cell abc", "covered 7", "size nan", "size negative"],
 )
 def test_malformed_event_log_is_a_data_error(tmp_path, capsys, log, where):
     events = tmp_path / "events.csv"

@@ -19,7 +19,7 @@ from pemi.engine import (
 from pemi.errors import DomainError, PreconditionError
 from pemi.fast import multi_test_threshold_set
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
-from pemi.permutations import identity_sequence, permute_with_imputation, sample_permutations
+from pemi.permutations import sample_permutations
 from pemi.rules import (
     AlwaysSelectRule,
     DecisionDrivenRule,
@@ -32,7 +32,7 @@ from pemi.rules import (
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence, MultiTestData, PermutationSample
 
-from conftest import make_sequence
+from conftest import make_sequence, permuted
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
 
@@ -154,12 +154,10 @@ def test_offline_swap_membership_hand_check(residual_score):
     # identity selects: mu_t = 5 >= 2.5 + (selected among 3, -2, 1)/100 = 2.51
     # swap test (slot 3) with offline slot 0: final x becomes 3 -> still selected
     order_swap = np.array([3, 1, 2, 0])
-    from pemi.permutations import permute_with_imputation
-
-    assert rule.select(permute_with_imputation(data, order_swap, y=0.0))
+    assert rule.select(permuted(data, order_swap, y=0.0))
     # swap with offline slot 1: final x becomes -2 -> not selected
     order_swap2 = np.array([0, 3, 2, 1])
-    assert not rule.select(permute_with_imputation(data, order_swap2, y=0.0))
+    assert not rule.select(permuted(data, order_swap2, y=0.0))
     matrix = np.stack([order_swap, order_swap2])
     from pemi.types import PermutationSample
     from pemi.engine import reference_mask
@@ -169,10 +167,11 @@ def test_offline_swap_membership_hand_check(residual_score):
 
 
 def _loop_mask(y, data, rule, perms, taxonomy=None):
-    """reference_mask spelled out with the public helper, one row at a time."""
+    """reference_mask spelled out one row at a time, each permuted sequence
+    built anew so that the rule evaluates its model on the permuted points."""
     out = []
     for order in perms.matrix:
-        seq = permute_with_imputation(data, order, y)
+        seq = permuted(data, order, y)
         if taxonomy is None:
             out.append(bool(rule.select(seq)))
         else:
@@ -224,7 +223,7 @@ def test_reference_mask_equals_a_loop_over_the_public_helper(family):
         labels = [float(v) for v in rng.normal(size=3)]
         if isinstance(rule, EarlierOutcomeRule):  # the partition boundaries
             labels += [float(v) for v in rule.point_values(data.x)]
-        observed = SelectionTaxonomy.singleton(rule.trajectory(identity_sequence(data, 0.0)))
+        observed = SelectionTaxonomy.singleton(rule.trajectory(data))
         for y in labels:
             for taxonomy in (None, observed):
                 want = _loop_mask(y, data, rule, perms, taxonomy)
@@ -257,7 +256,7 @@ def test_taxonomy_excluding_everything_gives_identity_only(rng, residual_score):
 def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
     data = make_sequence(rng, t=5)
     rule = DecisionDrivenRule(tau0=3.0, tau1=0.0, mu=MU)
-    obs = rule.trajectory(identity_sequence(data, 0.0))
+    obs = rule.trajectory(data)
     perms = sample_permutations(5, 40, seed=21)
     tax = SelectionTaxonomy.singleton(obs)
     p_tax = pemi_pvalue(0.3, data, rule, residual_score, perms, tax)

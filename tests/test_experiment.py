@@ -20,7 +20,9 @@ from pemi.experiment import (
 from pemi.oracle import all_orders_sample
 from pemi.rules import SelectionTaxonomy
 from pemi.thresholds import LondEngine
-from pemi.types import DataSequence, OrderedSequence
+from pemi.types import DataSequence
+
+from conftest import prefix
 
 
 def test_vanilla_set_rank_examples():
@@ -225,17 +227,16 @@ def test_observed_trajectory_evaluates_the_model_once_and_decides_like_the_rule(
     traj = experiment._observed_trajectory(res, X, Y, cuts)
     monkeypatch.undo()
     assert len(calls) == 1
-    seq = OrderedSequence(
-        prefix_x=X[:-1],
-        prefix_y=Y[:-1],
-        final_x=X[-1],
-        prefix_cutoffs=None if cuts is None else cuts[:-1],
-        final_cutoff=None if cuts is None else float(cuts[-1]),
-        n_offline=cfg.offline_n,
-    )
+    n_off = cfg.offline_n
+    kw = dict(offline_x=X[:n_off], offline_y=Y[:n_off]) if n_off else {}
+    if cuts is not None:
+        kw.update(cutoffs=cuts[n_off:-1], test_cutoff=float(cuts[-1]))
+        if n_off:
+            kw.update(offline_cutoffs=cuts[:n_off])
+    seq = DataSequence(x=X[n_off:-1], y=Y[n_off:-1], test_x=X[-1], **kw)
     assert tuple(int(v) for v in traj) == res.rule.trajectory(seq)
     # each step decided on its own prefix, with the model evaluated on that prefix alone
-    assert traj.tolist() == [res.rule.select(seq.prefix(i)) for i in range(1, cfg.T + 1)]
+    assert traj.tolist() == [res.rule.select(prefix(seq, i)) for i in range(1, cfg.T + 1)]
 
 
 def test_elond_rule_end_to_end():

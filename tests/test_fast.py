@@ -11,7 +11,7 @@ from pemi.crosscheck import FAMILIES, check_instance, draw_instance
 from pemi.engine import TopPredictionRule, pemi_pvalue, pemi_set_grid, reference_mask
 from pemi.errors import ConfigurationError, DomainError, PemiError, PreconditionError
 from pemi.oracle import all_orders_sample, full_pemi_set_grid
-from pemi.permutations import identity_sequence, sample_permutations
+from pemi.permutations import sample_permutations
 from pemi.quantiles import kth_smallest_or_inf
 from pemi.rules import (
     AlwaysSelectRule,
@@ -113,7 +113,7 @@ def test_uncertainty_budget_set_matches_engine_and_enumeration(rng, residual_sco
             X = np.round(X)  # tied disagreement values
         data = DataSequence(x=X[:-1], y=rng.normal(size=t - 1), test_x=X[-1])
         rule = UncertaintyBudgetRule(models=models, gamma=float(rng.uniform(0.2, 1.0)))
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         perms = sample_permutations(t, 20, seed=trial)
         dset = fast.covariate_set(data, rule, residual_score, perms, 0.4)
@@ -132,7 +132,7 @@ def test_randomized_u1_no_ties_equals_deterministic(rng, residual_score):
     for trial in range(10):
         data = make_sequence(rng, t=6)
         rule = WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.5)
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         perms = sample_permutations(6, 15, seed=trial)
         det = fast.covariate_set(data, rule, residual_score, perms, 0.3)
@@ -176,7 +176,7 @@ def _conformal_instance(rng, t=5, q=0.5):
 def test_conformal_reference_constant_within_sides(rng, residual_score):
     for trial in range(20):
         data, rule = _conformal_instance(rng)
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         perms = sample_permutations(5, 15, seed=trial)
         c = data.test_cutoff
@@ -195,7 +195,7 @@ def test_conformal_reference_constant_within_sides(rng, residual_score):
 def test_conformal_set_structure_and_empty_side(rng, residual_score):
     for trial in range(50):
         data, rule = _conformal_instance(rng, q=0.6)
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         perms = sample_permutations(5, 10, seed=trial)
         dset = fast.conformal_pvalue_set(data, rule, residual_score, perms, alpha=0.4)
@@ -220,7 +220,7 @@ def test_earlier_outcome_t2_full_enumeration(rng, residual_score):
     for trial in range(50):
         data = make_sequence(rng, t=2)
         rule = EarlierOutcomeRule(mu=MU, beta_sel=0.5)
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         perms = all_orders_sample(2, skip_identity=True)
         dset = fast.earlier_outcome_set(data, rule, residual_score, perms, alpha=0.4)
@@ -240,7 +240,7 @@ def test_earlier_outcome_uninformative_selection_collapses(rng, residual_score):
     for trial in range(100):
         data = make_sequence(rng, t=5)
         rule = EarlierOutcomeRule(mu=MU, beta_sel=0.97)
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         perms = sample_permutations(5, 20, seed=trial)
         y_lo = float(min(data.y.min(), -10.0) - 5.0)
@@ -309,8 +309,7 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score, n_of
     for trial in range(60):
         data = make_sequence(rng, t=int(rng.integers(3, 7)), n_offline=n_offline)
         rule = DecisionDrivenRule(tau0=20.0, tau1=-0.5, mu=MU)
-        seq = identity_sequence(data, 0.0)
-        traj = rule.trajectory(seq)
+        traj = rule.trajectory(data)
         if traj[-1] != 1:
             continue
         taxonomies = (
@@ -330,6 +329,22 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score, n_of
         if checked >= 8:
             return
     pytest.fail("not enough selected instances drawn")
+
+
+def test_singleton_taxonomy_of_another_length_keeps_the_identity_alone(rng, residual_score):
+    """A pinned trajectory of another length than the step's matches no
+    permuted trajectory (``SelectionTaxonomy.contains``), so the closed form,
+    like the engine, calibrates on the identity alone."""
+    data = make_sequence(rng, t=3)
+    rule = DecisionDrivenRule(tau0=20.0, tau1=-10.0, mu=MU)  # selects every point
+    perms = sample_permutations(3, 15, seed=4)
+    taxonomy = SelectionTaxonomy.singleton([1, 1])
+    assert pemi_pvalue(0.0, data, rule, residual_score, perms, taxonomy).ref_size == 1
+    grid = np.linspace(-4, 4, 31)
+    for u in (None, 0.3):
+        dset = fast._closed_form(data, rule, residual_score, perms, 0.4, u, taxonomy)
+        generic = pemi_set_grid(grid, data, rule, residual_score, perms, 0.4, u=u, taxonomy=taxonomy)
+        assert np.array_equal(generic, [dset.contains(float(y), residual_score, data.test_x) for y in grid])
 
 
 # -- rule needs --------------------------------------------------------------

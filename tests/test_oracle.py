@@ -15,13 +15,13 @@ from pemi.oracle import (
     jomi_set_symmetric,
     permutation_fcp_pvalue,
 )
-from pemi.permutations import identity_sequence, sample_permutations
+from pemi.permutations import sample_permutations
 from pemi.quantiles import inflated_quantile
-from pemi.rules import AlwaysSelectRule, DecisionDrivenRule, WeightedPredictionRule
+from pemi.rules import AlwaysSelectRule, DecisionDrivenRule, EarlierOutcomeRule, WeightedPredictionRule
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence
 
-from conftest import make_sequence
+from conftest import make_sequence, permuted
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
 
@@ -113,6 +113,30 @@ def test_jomi_always_rule_uses_all_points(rng, residual_score):
     assert got.threshold == inflated_quantile(0.7, scores)
 
 
+def test_swap_reference_is_the_swaps_that_reselect(rng):
+    """The swap reference keeps exactly the labeled slots whose swap with the
+    test point re-selects the sequence rebuilt in the swapped order, with the
+    imputed label travelling to the swapped-in slot."""
+    rules = (
+        AlwaysSelectRule(),
+        WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.5),
+        DecisionDrivenRule(tau0=2.0, tau1=-0.5, mu=MU),
+        EarlierOutcomeRule(mu=MU, beta_sel=0.5),
+    )
+    for rule in rules:
+        for t in (1, 2, 6):
+            data = make_sequence(rng, t=t)
+            n = data.n_slots
+            for y in (-1.0, 0.7):
+                want = []
+                for i in range(n - 1):
+                    order = np.arange(n)
+                    order[[i, n - 1]] = [n - 1, i]
+                    if rule.select(permuted(data, order, y)):
+                        want.append(i)
+                assert jomi_reference(y, data, rule, check_symmetry=False) == want
+
+
 def test_jomi_t2_single_swap(rng, residual_score):
     data = make_sequence(rng, t=2)
     got = jomi_set_symmetric(data, AlwaysSelectRule(), residual_score, alpha=0.5)
@@ -127,7 +151,7 @@ def test_jomi_matches_full_enumeration_for_symmetric_covariate_rule(rng, residua
     for _ in range(5):
         data = make_sequence(rng, t=5)
         rule = WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.5)
-        if not rule.select(identity_sequence(data, 0.0)):
+        if not rule.select(data):
             continue
         alpha = 0.35
         jomi = jomi_set_symmetric(data, rule, residual_score, alpha)

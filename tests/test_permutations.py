@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pemi.engine import reference_mask
 from pemi.errors import DomainError
-from pemi.permutations import (
-    permute_with_imputation,
-    row_uniforms,
-    sample_permutations,
-)
+from pemi.permutations import row_uniforms, sample_permutations
+from pemi.rules import SelectionRule
 from pemi.types import DataSequence, MultiTestData
 
 from conftest import make_sequence
@@ -101,56 +99,70 @@ def test_extended_range_includes_offline():
     assert sample.matrix.shape == (4, 5)
 
 
-# -- application with imputation -------------------------------------------
+# -- the replay step: imputed label and slot order ---------------------------
+
+
+class EchoRule(SelectionRule):
+    """A point's value is its first covariate beside its cutoff (NaN without
+    cutoffs), so the replayed arguments show where every point went."""
+
+    def point_values(self, X, cutoffs=None):
+        return np.column_stack([X[:, 0], np.full(X.shape[0], np.nan) if cutoffs is None else cutoffs])
+
+    def decide(self, values, labels, cutoffs, n_offline):
+        return True
 
 
 def test_identity_application_roundtrip(rng):
     seq = make_sequence(rng, t=5)
-    out = permute_with_imputation(seq, np.arange(5), y=2.5)
-    # identity keeps the test point in the final slot: no imputed label in the
-    # prefix, and dropping the imputation reproduces the sequence exactly
-    assert np.array_equal(out.prefix_x, seq.x)
-    assert np.array_equal(out.prefix_y, seq.y)
-    assert np.array_equal(out.final_x, seq.test_x)
+    values, labels, cutoffs, n_offline = EchoRule().replay(seq, 2.5)(None)
+    # the observed order keeps the test point in the final slot: no imputed
+    # label among the labeled slots, and the sequence comes back unchanged
+    assert np.array_equal(values[:, 0], seq.full_x()[:, 0])
+    assert np.array_equal(labels, seq.y)
+    assert cutoffs is None and n_offline == 0
+    values, labels, _, _ = EchoRule().replay(seq, 2.5)(np.arange(5))
+    assert np.array_equal(values[:, 0], seq.full_x()[:, 0]) and np.array_equal(labels, seq.y)
 
 
 def test_swap_t2():
     seq = DataSequence(x=[[1.0]], y=[4.0], test_x=[9.0])
-    out = permute_with_imputation(seq, np.array([1, 0]), y=-3.0)
-    assert out.prefix_x[0, 0] == 9.0 and out.prefix_y[0] == -3.0
-    assert out.final_x[0] == 1.0
+    values, labels, _, _ = EchoRule().replay(seq, -3.0)(np.array([1, 0]))
+    assert values[0, 0] == 9.0 and labels[0] == -3.0
+    assert values[1, 0] == 1.0
 
 
 def test_three_cycle_hand_applied():
     # slot s holds original index order[s]; order = (2, 0, 1) in 0-based slots
     seq = DataSequence(x=[[10.0], [20.0]], y=[1.0, 2.0], test_x=[30.0])
-    out = permute_with_imputation(seq, np.array([2, 0, 1]), y=0.5)
-    # slot 1 gets the test point with the imputed label, slot 2 exposes x of point 1
-    assert out.prefix_x[0, 0] == 30.0 and out.prefix_y[0] == 0.5
-    assert out.prefix_x[1, 0] == 10.0 and out.prefix_y[1] == 1.0
-    assert out.final_x[0] == 20.0
+    values, labels, _, _ = EchoRule().replay(seq, 0.5)(np.array([2, 0, 1]))
+    # slot 0 gets the test point with the imputed label, the final slot exposes x of point 1
+    assert values[0, 0] == 30.0 and labels[0] == 0.5
+    assert values[1, 0] == 10.0 and labels[1] == 1.0
+    assert values[2, 0] == 20.0 and labels.shape == (2,)
 
 
 def test_domain_mismatch_rejected(rng):
     seq = make_sequence(rng, t=4)
     with pytest.raises(DomainError):
-        permute_with_imputation(seq, np.arange(3), y=0.0)
+        reference_mask(0.0, seq, EchoRule(), sample_permutations(3, 2, seed=0))
 
 
 def test_cutoffs_travel_with_points(rng):
     seq = make_sequence(rng, t=3, cutoffs=True)
-    out = permute_with_imputation(seq, np.array([2, 0, 1]), y=0.0)
-    assert out.prefix_cutoffs[0] == seq.test_cutoff
-    assert out.final_cutoff == seq.cutoffs[1]
+    values, _, cutoffs, _ = EchoRule().replay(seq, 0.0)(np.array([2, 0, 1]))
+    assert cutoffs[0] == seq.test_cutoff and cutoffs[1] == seq.cutoffs[0]
+    assert values[0, 1] == seq.test_cutoff
+    assert values[2, 1] == seq.cutoffs[1]  # the final slot's cutoff reaches its value
 
 
 def test_offline_slots_keep_designation(rng):
     seq = make_sequence(rng, t=3, n_offline=2)
     order = np.array([4, 1, 0, 2, 3])
-    out = permute_with_imputation(seq, order, y=1.5)
-    assert out.n_offline == 2
-    assert out.prefix_y[0] == 1.5  # test point moved into the first offline slot
-    assert out.length == 5
+    values, labels, _, n_offline = EchoRule().replay(seq, 1.5)(order)
+    assert n_offline == 2
+    assert labels[0] == 1.5  # test point moved into the first offline slot
+    assert values[0, 0] == seq.test_x[0] and values.shape[0] == 5 and labels.shape == (4,)
 
 
 def test_full_cutoffs_is_read_only_and_checks_the_offline_block():
@@ -168,7 +180,7 @@ def test_full_cutoffs_is_read_only_and_checks_the_offline_block():
         with pytest.raises(DomainError):
             no_offline_cutoffs.full_cutoffs()
     with pytest.raises(DomainError):
-        permute_with_imputation(no_offline_cutoffs, np.arange(3), y=0.0)
+        EchoRule().replay(no_offline_cutoffs, 0.0)
 
 
 NAN, INF = math.nan, math.inf

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pemi.errors import ConfigurationError
-from pemi.permutations import identity_sequence, permute_with_imputation, sample_permutations
 from pemi.rules import (
     AlwaysSelectRule,
     ConformalPValueRule,
@@ -24,9 +24,9 @@ from pemi.rules import (
 from pemi.quantiles import weighted_quantile
 from pemi.scores import LinearModel
 from pemi.thresholds import FixedThreshold, LondEngine
-from pemi.types import DataSequence, OrderedSequence
+from pemi.types import DataSequence
 
-from conftest import make_sequence
+from conftest import make_sequence, prefix
 
 MU = LinearModel(intercept=0.0, coef=(1.0,))  # identity on 1-d features
 
@@ -38,9 +38,7 @@ def cutoff_score(X, c):
 def seq_from_mu(past_mu, test_mu, ys=None):
     past_mu = np.asarray(past_mu, dtype=float)
     ys = past_mu if ys is None else np.asarray(ys, dtype=float)
-    return OrderedSequence(
-        prefix_x=past_mu.reshape(-1, 1), prefix_y=ys, final_x=np.array([test_mu])
-    )
+    return DataSequence(x=past_mu.reshape(-1, 1), y=ys, test_x=np.array([test_mu]))
 
 
 # -- decision driven ---------------------------------------------------------
@@ -71,10 +69,10 @@ def test_decision_driven_depends_only_on_count_and_test_value(past, test_mu):
 
 def test_trajectory_prefix_consistency(rng):
     rule = DecisionDrivenRule(tau0=5.0, tau1=0.0, mu=LinearModel(0.0, (1.0, 0.5)))
-    seq = identity_sequence(make_sequence(rng, t=8), y=0.0)
+    seq = make_sequence(rng, t=8)
     traj = rule.trajectory(seq)
     for i in range(1, 9):
-        assert rule.trajectory(seq.prefix(i)) == traj[:i]
+        assert rule.trajectory(prefix(seq, i)) == traj[:i]
 
 
 def test_always_and_never():
@@ -114,12 +112,8 @@ def test_weighted_rules_never_select_first_step():
 @given(st.integers(0, 2**32 - 1))
 def test_covariate_only_rules_ignore_labels(seed):
     rng = np.random.default_rng(seed)
-    seq = identity_sequence(make_sequence(rng, t=int(rng.integers(2, 9))), y=0.0)
-    relabeled = OrderedSequence(
-        prefix_x=seq.prefix_x,
-        prefix_y=rng.normal(size=seq.prefix_y.shape[0]),
-        final_x=seq.final_x,
-    )
+    seq = make_sequence(rng, t=int(rng.integers(2, 9)))
+    relabeled = dataclasses.replace(seq, y=rng.normal(size=seq.y.shape[0]))
     for rule in (
         DecisionDrivenRule(tau0=5.0, tau1=0.0, mu=LinearModel(0.0, (1.0, -1.0))),
         WeightedPredictionRule(mu=LinearModel(0.0, (1.0, -1.0)), mode="quantile", q_sel=0.3),
@@ -144,21 +138,14 @@ def test_covariate_only_rules_ignore_labels(seed):
 def test_cutoff_binary_rules_see_labels_only_through_sides(rule, n_offline, seed):
     rng = np.random.default_rng(seed)
     t = int(rng.integers(2, 8))
-    seq_data = make_sequence(rng, t=t, cutoffs=True, n_offline=n_offline)
-    base = identity_sequence(seq_data, y=0.0)
-    # move each label anywhere on the same side of its own cutoff
-    n = base.prefix_y.shape[0]
-    side = base.prefix_y <= base.prefix_cutoffs
-    shifted = np.where(side, base.prefix_cutoffs - rng.uniform(0.1, 3.0, n),
-                       base.prefix_cutoffs + rng.uniform(0.1, 3.0, n))
-    moved = OrderedSequence(
-        prefix_x=base.prefix_x,
-        prefix_y=shifted,
-        final_x=base.final_x,
-        prefix_cutoffs=base.prefix_cutoffs,
-        final_cutoff=base.final_cutoff,
-        n_offline=n_offline,
-    )
+    base = make_sequence(rng, t=t, cutoffs=True, n_offline=n_offline)
+    # move each label, offline ones included, anywhere on the same side of its own cutoff
+    labels, cutoffs = base.full_y()[:-1], base.full_cutoffs()[:-1]
+    n = labels.shape[0]
+    shifted = np.where(labels <= cutoffs, cutoffs - rng.uniform(0.1, 3.0, n),
+                       cutoffs + rng.uniform(0.1, 3.0, n))
+    offline = {"offline_y": shifted[:n_offline]} if n_offline else {}
+    moved = dataclasses.replace(base, y=shifted[n_offline:], **offline)
     assert rule.select(base) == rule.select(moved)
     assert rule.trajectory(base) == rule.trajectory(moved)
 
@@ -186,11 +173,10 @@ def test_fixed_threshold_rule_matches_direct_count(seed):
     rule = ConformalPValueRule(
         f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c), engine=FixedThreshold(0.5)
     )
-    seq = identity_sequence(data, y=0.0)
-    fhat = np.concatenate([seq.prefix_x[:, 0] - seq.prefix_cutoffs, [seq.final_x[0] - seq.final_cutoff]])
-    clipped = (seq.prefix_y <= seq.prefix_cutoffs) & (fhat[:-1] >= fhat[-1])
+    fhat = np.concatenate([data.x[:, 0] - data.cutoffs, [data.test_x[0] - data.test_cutoff]])
+    clipped = (data.y <= data.cutoffs) & (fhat[:-1] >= fhat[-1])
     p_direct = (1 + clipped.sum()) / t
-    assert rule.select(seq) == (p_direct <= 0.5)
+    assert rule.select(data) == (p_direct <= 0.5)
 
 
 @pytest.mark.parametrize("decay", [None, 0.99])
@@ -220,12 +206,8 @@ def test_conformal_trajectory_is_select_on_each_prefix(engine):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(T, 1))
     c = rng.normal(size=T)
-    seq = OrderedSequence(
-        prefix_x=X[:-1],
-        prefix_y=X[:-1, 0] + rng.normal(size=T - 1),
-        final_x=X[-1],
-        prefix_cutoffs=c[:-1],
-        final_cutoff=float(c[-1]),
+    seq = DataSequence(
+        x=X[:-1], y=X[:-1, 0] + rng.normal(size=T - 1), test_x=X[-1], cutoffs=c[:-1], test_cutoff=float(c[-1])
     )
     f_score = lambda X, c: np.asarray(X[:, 0]) - np.asarray(c)
     if engine is None:
@@ -233,7 +215,7 @@ def test_conformal_trajectory_is_select_on_each_prefix(engine):
         # length-T recency weights round some steps' p-values differently
         # from the length-i weights that step i uses
         fhat = np.asarray(X[:, 0]) - c
-        ind = np.append((seq.prefix_y <= seq.prefix_cutoffs).astype(float), 0.0)
+        ind = np.append((seq.y <= seq.cutoffs).astype(float), 0.0)
         levels = weighted_pvalue_history(fhat, ind, recency_weights(T, decay))[1:]
         engines = [FixedThreshold(float(q)) for q in levels if q < 1]
     else:
@@ -241,7 +223,7 @@ def test_conformal_trajectory_is_select_on_each_prefix(engine):
     for eng in engines:
         rule = ConformalPValueRule(f_score=f_score, engine=eng, decay=decay)
         traj = rule.trajectory(seq)
-        assert traj == tuple(int(rule.select(seq.prefix(i))) for i in range(1, T + 1))
+        assert traj == tuple(int(rule.select(prefix(seq, i))) for i in range(1, T + 1))
 
 
 def test_conformal_rule_requires_cutoffs(rng):
@@ -249,7 +231,7 @@ def test_conformal_rule_requires_cutoffs(rng):
         f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c), engine=FixedThreshold(0.5)
     )
     with pytest.raises(ConfigurationError):
-        rule.select(identity_sequence(make_sequence(rng, t=4), y=0.0))
+        rule.select(make_sequence(rng, t=4))
 
 
 # -- uncertainty budget -------------------------------------------------------
@@ -306,7 +288,7 @@ def test_earlier_outcome_matches_weighted_quantile_form(seed):
 def test_elond_needs_offline_block(rng):
     rule = ELondRule(f_score=lambda X, c: X[:, 0] - c, alpha=0.5)
     with pytest.raises(ConfigurationError):
-        rule.select(identity_sequence(make_sequence(rng, t=4, cutoffs=True), y=0.0))
+        rule.select(make_sequence(rng, t=4, cutoffs=True))
 
 
 def test_elond_first_step_reduction(rng):
@@ -314,14 +296,13 @@ def test_elond_first_step_reduction(rng):
     data = make_sequence(rng, t=1, cutoffs=True, n_offline=4)
     gamma = lambda t: 0.5**t
     rule = ELondRule(f_score=lambda X, c: np.asarray(X[:, 0]) - np.asarray(c), alpha=0.9, gamma=gamma)
-    seq = identity_sequence(data, y=0.0)
     fhat_off = data.offline_x[:, 0] - data.offline_cutoffs
     f_t = data.test_x[0] - data.test_cutoff
     cnt = int(((data.offline_y <= data.offline_cutoffs) & (fhat_off >= f_t)).sum())
     p_plus = (1 + cnt) / 5
     lvl = 0.9 * 0.5
     expect = (p_plus <= lvl) / lvl >= 1 / lvl
-    assert rule.select(seq) == bool(expect)
+    assert rule.select(data) == bool(expect)
 
 
 # -- taxonomy -----------------------------------------------------------------
