@@ -26,7 +26,6 @@ from .engine import (
     SelectionPValue,
     multi_test_pvalue,
     pemi_pvalue,
-    pemi_pvalue_randomized,
     pemi_set_grid,
 )
 from .errors import (
@@ -51,7 +50,6 @@ __all__ = [
     "sample_permutations",
     "weighted_quantile",
     "pemi_pvalue",
-    "pemi_pvalue_randomized",
     "pemi_set_grid",
     "multi_test_pvalue",
     "multi_test_threshold_set",

@@ -30,7 +30,6 @@ from .types import DataSequence, MultiTestData, PermutationSample
 __all__ = [
     "SelectionPValue",
     "pemi_pvalue",
-    "pemi_pvalue_randomized",
     "pemi_set_grid",
     "reference_mask",
     "MultiTestRule",
@@ -45,7 +44,8 @@ class SelectionPValue:
 
     ``value = exceed_count / ref_size`` for the deterministic form; the
     randomized form stores the strict-exceedance and tie counts plus the
-    uniform draw that mixed them.
+    uniform draw that mixed them, ``value = (exceed_count + u * tie_count)
+    / ref_size``.  ``exceeds`` decides on the counts, never on ``value``.
     """
 
     value: float
@@ -55,10 +55,12 @@ class SelectionPValue:
     u: float | None = None
 
     def exceeds(self, alpha: float) -> bool:
-        """p > alpha; exact count arithmetic for the deterministic form."""
+        """p > alpha: exact count arithmetic on alpha's binary value for the
+        deterministic form; for the randomized form the comparison the
+        closed form's threshold search makes, undivided."""
         if self.tie_count is None:
             return exceeds_level(self.exceed_count, self.ref_size, alpha)
-        return self.value > alpha
+        return self.exceed_count + self.u * self.tie_count > alpha * self.ref_size
 
 
 def _check_domain(data: DataSequence, perms: PermutationSample) -> None:
@@ -130,40 +132,29 @@ def pemi_pvalue(
     score: ConformityScore,
     perms: PermutationSample,
     taxonomy: SelectionTaxonomy | None = None,
+    u: float | None = None,
 ) -> SelectionPValue:
-    """Deterministic selection-calibrated p-value for candidate ``y``.
+    """Selection-calibrated p-value for candidate ``y``.
 
-    Handles plain online sequences and sequences with an offline block
-    alike: the permutations simply act on every slot the sequence has.
+    Deterministic by default: the identity and every reference member
+    scoring at least as high count as exceedances.  With a tie-break
+    uniform ``u`` it is randomized: strict exceedances plus ``u`` times
+    the ties, the identity included.  One draw is shared by every
+    candidate label of a time step; at ``u = 1`` the value coincides with
+    the deterministic form.  Handles plain online sequences and
+    sequences with an offline block alike: the permutations simply act on
+    every slot the sequence has.
     """
-    mask = reference_mask(y, data, rule, perms, taxonomy)
-    v0, vals = _scores_for(y, data, score, perms.matrix[mask])
-    exceed = 1 + int(np.sum(v0 <= vals))  # identity tie with itself included
-    ref_size = 1 + int(mask.sum())
-    return SelectionPValue(value=exceed / ref_size, ref_size=ref_size, exceed_count=exceed)
-
-
-def pemi_pvalue_randomized(
-    y: float,
-    data: DataSequence,
-    rule: SelectionRule,
-    score: ConformityScore,
-    perms: PermutationSample,
-    u: float,
-    taxonomy: SelectionTaxonomy | None = None,
-) -> SelectionPValue:
-    """Tie-broken p-value: strict exceedances plus ``u`` times the ties.
-
-    One uniform draw is shared by every candidate label of the same time
-    step; at ``u = 1`` the value coincides with the deterministic form.
-    """
-    if not 0 <= u <= 1:
+    if u is not None and not 0 <= u <= 1:
         raise DomainError(f"tie-break uniform must be in [0,1], got {u}")
     mask = reference_mask(y, data, rule, perms, taxonomy)
     v0, vals = _scores_for(y, data, score, perms.matrix[mask])
+    ref_size = 1 + int(mask.sum())
+    if u is None:
+        exceed = 1 + int(np.sum(v0 <= vals))  # identity tie with itself included
+        return SelectionPValue(value=exceed / ref_size, ref_size=ref_size, exceed_count=exceed)
     strict = int(np.sum(v0 < vals))
     ties = 1 + int(np.sum(v0 == vals))  # identity always ties with itself
-    ref_size = 1 + int(mask.sum())
     return SelectionPValue(
         value=(strict + u * ties) / ref_size,
         ref_size=ref_size,
@@ -189,11 +180,7 @@ def pemi_set_grid(
         raise DomainError("grid must be sorted")
     out = np.zeros(g.shape[0], dtype=bool)
     for i, y in enumerate(g):
-        if u is None:
-            p = pemi_pvalue(float(y), data, rule, score, perms, taxonomy)
-        else:
-            p = pemi_pvalue_randomized(float(y), data, rule, score, perms, u, taxonomy)
-        out[i] = p.exceeds(alpha)
+        out[i] = pemi_pvalue(float(y), data, rule, score, perms, taxonomy, u).exceeds(alpha)
     return out
 
 

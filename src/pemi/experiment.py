@@ -32,7 +32,7 @@ from .generators import GeneratorConfig, TrueMeanModel, feature_dim, generate
 from .metrics import Event, FcrReport, MetricsRow, fcr_report, summarize
 from .oracle import MAX_ENUM_SIZE, all_orders_sample
 from .permutations import sample_permutations
-from .quantiles import inflated_quantile
+from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
     AlwaysSelectRule,
     ConformalPValueRule,
@@ -392,10 +392,11 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
 def vanilla_set(past_scores: np.ndarray, alpha: float) -> ThresholdSet:
     """Split-conformal baseline: calibrate on all past points' scores.
 
-    Threshold = the ceil((1-alpha) * t)-th smallest of the t-1 past
-    scores, +inf when the rank runs past the end (no calibration yet).
+    Threshold = the rank-``coverage_rank(alpha, t)`` smallest of the t-1
+    past scores, the rank a closed form takes on a reference of size t;
+    +inf when the rank runs past the end (no calibration yet).
     """
-    return ThresholdSet(inflated_quantile(1 - alpha, past_scores))
+    return ThresholdSet(kth_smallest_or_inf(coverage_rank(alpha, len(past_scores) + 1), past_scores))
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +568,10 @@ def _write_metrics(path: Path, rows: Sequence[MetricsRow]) -> None:
 def recompute_metrics(events_path: str | Path, out_path: str | Path | None = None) -> list[MetricsRow]:
     """Rebuild the per-time aggregates from an event log (audit path).
 
-    A row that lacks a column, holds a cell that does not parse, a
-    ``covered`` other than 0 or 1, or a NaN or negative ``size`` is a
-    ``ParseError`` naming ``path:line``; an infinite size is valid.
+    A row that lacks a column, holds a cell that does not parse, a ``rep``
+    below 0, a ``t`` below 1, a method outside ``METHODS``, a ``covered``
+    other than 0 or 1, or a NaN or negative ``size`` is a ``ParseError``
+    naming ``path:line``; an infinite size is valid.
     """
     import csv as _csv
 
@@ -578,12 +580,10 @@ def recompute_metrics(events_path: str | Path, out_path: str | Path | None = Non
         reader = _csv.DictReader(fh)
         for row in reader:
             try:
-                covered, size = int(row["covered"]), float(row["size"])
-                if covered not in (0, 1) or not size >= 0:
+                rep, t, covered, size = int(row["rep"]), int(row["t"]), int(row["covered"]), float(row["size"])
+                if rep < 0 or t < 1 or row["method"] not in METHODS or covered not in (0, 1) or not size >= 0:
                     raise ValueError
-                events.append(
-                    Event(rep=int(row["rep"]), t=int(row["t"]), method=row["method"], covered=covered, size=size)
-                )
+                events.append(Event(rep=rep, t=t, method=row["method"], covered=covered, size=size))
             except (KeyError, TypeError, ValueError):  # a short row leaves None cells
                 raise ParseError(f"{events_path}:{reader.line_num}: cannot parse event {row}") from None
     rows = summarize(events)

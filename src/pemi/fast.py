@@ -216,13 +216,14 @@ def _randomized_threshold(
     bar = alpha * ref_size
     values, counts = np.unique(scores_moved, return_counts=True)
     strictly_above = 0
-    if u * stay + strictly_above > bar:
+    # SelectionPValue.exceeds writes the comparison the same way: strict + u * ties > alpha * ref_size
+    if strictly_above + u * stay > bar:
         return math.inf, True
     for idx in range(values.shape[0] - 1, -1, -1):
-        if u * (stay + counts[idx]) + strictly_above > bar:
+        if strictly_above + u * (stay + counts[idx]) > bar:
             return float(values[idx]), True
         strictly_above += int(counts[idx])
-        if u * stay + strictly_above > bar:
+        if strictly_above + u * stay > bar:
             return float(values[idx]), False
     return -math.inf, False
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import MultiTestRule, SelectionPValue, _single_test, reference_mask
 from .errors import GuardError, PreconditionError
-from .quantiles import inflated_quantile
+from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import SelectionRule
 from .scores import ConformityScore, LastPointScore
 from .sets import ThresholdSet
@@ -171,16 +171,17 @@ def jomi_set_symmetric(
 ) -> ThresholdSet:
     """Swap-calibrated threshold set for a symmetric, label-free rule.
 
-    The threshold is the (1-alpha) calibration quantile of the swap-stable
-    points' scores (with the usual +inf augmentation).  Requires a rule
-    whose reference does not depend on the imputed label, i.e. a
-    covariate-based rule.
+    The threshold is the rank-``coverage_rank(alpha, n + 1)`` score of the
+    ``n`` swap-stable points (+inf past the end): the reference is those
+    swaps plus the identity, ranked as ``CalibrationDetail.threshold``
+    ranks a closed form's.  Requires a rule whose reference does not
+    depend on the imputed label, i.e. a covariate-based rule.
     """
     if not rule.covariate_only:
         raise PreconditionError("single-threshold swap set needs a label-free rule")
     ref = jomi_reference(0.0, data, rule, check_symmetry)
     scores = score.of_points(data.full_x()[ref], data.full_y()[ref]) if ref else np.empty(0)
-    return ThresholdSet(inflated_quantile(1 - alpha, scores))
+    return ThresholdSet(kth_smallest_or_inf(coverage_rank(alpha, len(ref) + 1), scores))
 
 
 def jomi_multi_test_set(

@@ -1,13 +1,13 @@
 """Quantile primitives used by every calibration formula in the package.
 
-Two distinct conventions coexist and are kept separate on purpose:
-
-* the closed-form prediction-set thresholds take the rank
-  ``coverage_rank(alpha, ref_size)`` *within* the moved-in scores through
-  ``kth_smallest_or_inf``, which falls back to ``+inf`` when the rank
-  exceeds their number;
-* ``inflated_quantile`` ranks within the multiset *plus one* appended
-  ``+inf`` element — the usual split-conformal calibration quantile.
+Every prediction set decides ``p > alpha`` with one rank convention: the
+threshold is the rank-``coverage_rank(alpha, ref_size)`` score through
+``kth_smallest_or_inf``, which falls back to ``+inf`` when the rank
+exceeds the number of scores.  ``ref_size`` counts the test point's own
+slot, so the split-conformal quantile over ``n`` scores is the rank
+``coverage_rank(alpha, n + 1)``.  The rank is taken on alpha's binary
+value, as ``exceeds_level`` compares a count with it, so a threshold and
+a per-label p-value decide alike at every level.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import DomainError
 
 __all__ = [
     "kth_smallest_or_inf",
-    "inflated_quantile",
     "weighted_quantile",
     "coverage_rank",
     "exceeds_level",
@@ -61,16 +60,6 @@ def exceeds_level(count: int, ref_size: int, alpha: float) -> bool:
         raise DomainError("ref_size must be >= 1")
     frac = Fraction(alpha)
     return count * frac.denominator > frac.numerator * ref_size
-
-
-def inflated_quantile(beta: float, values) -> float:
-    """Quantile of ``values + [+inf]`` at level ``beta`` (rank over n+1)."""
-    if beta <= 0:
-        raise DomainError(f"quantile level must be > 0, got {beta}")
-    v = np.asarray(values, dtype=float)
-    frac = Fraction(beta) * (v.size + 1)
-    k = -(-frac.numerator // frac.denominator)
-    return kth_smallest_or_inf(k, v)
 
 
 def weighted_quantile(beta: float, values: Sequence[float], weights: Sequence[float]) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .scores import ModelFn
-from .thresholds import ThresholdEngine, default_gamma
+from .thresholds import ThresholdEngine, _gamma_array, default_gamma
 from .types import DataSequence
 
 __all__ = [
@@ -512,7 +512,7 @@ def elond_selection_profile(
     pm = np.atleast_2d(np.asarray(p_minus, dtype=float))
     pp = np.atleast_2d(np.asarray(p_plus, dtype=float))
     R, T = pm.shape
-    g = np.array([gamma(i) for i in range(1, T + 1)])
+    g = _gamma_array(gamma, T)
     rej_minus = np.zeros(R, dtype=np.int64)
     rej_plus = np.zeros(R, dtype=np.int64)
     picked = np.zeros(R, dtype=np.int64)

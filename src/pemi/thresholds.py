@@ -52,7 +52,7 @@ def lond_threshold(alpha: float, gamma_t: float, rejections: int) -> float:
 
 def _gamma_array(gamma: Callable[[int], float], T: int) -> np.ndarray:
     g = np.array([gamma(j) for j in range(1, T + 1)], dtype=float)
-    if np.any(g < 0):
+    if (g < 0).any():  # the method skips np.any's dispatch, a fixed cost on every replayed row
         raise ConfigurationError("gamma sequence must be non-negative")
     return g
 

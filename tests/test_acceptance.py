@@ -17,7 +17,6 @@ from pemi.engine import (
     TopPredictionRule,
     multi_test_pvalue,
     pemi_pvalue,
-    pemi_pvalue_randomized,
 )
 from pemi.experiment import ExperimentConfig, run_experiment, write_outputs
 from pemi.fast import CalibrationDetail, multi_test_threshold_set
@@ -140,7 +139,7 @@ def test_criterion_4_no_selection_validity(report):
         )
         u = float(np.random.default_rng(u_child).random())
         det[rep] = pemi_pvalue(float(Y[-1]), data, rule, score, perms).value
-        rand[rep] = pemi_pvalue_randomized(float(Y[-1]), data, rule, score, perms, u).value
+        rand[rep] = pemi_pvalue(float(Y[-1]), data, rule, score, perms, u=u).value
     worst_det, worst_rand = -math.inf, 0.0
     for alpha in np.arange(0.1, 0.91, 0.1):
         se = math.sqrt(alpha * (1 - alpha) / reps)

@@ -236,8 +236,15 @@ def test_name_flag_over_a_non_mapping_section_is_a_config_error(tmp_path, capsys
         ("rep,t,method,covered,size\n0,1,pemi_det,7,2.5\n", "events.csv:2:"),
         ("rep,t,method,covered,size\n0,1,pemi_det,1,inf\n0,2,pemi_det,1,nan\n", "events.csv:3:"),
         ("rep,t,method,covered,size\n0,1,pemi_det,0,-3.0\n", "events.csv:2:"),
+        ("rep,t,method,covered,size\n0,1,pemi_det,1,2.5\n0,-2,bogus,1,2.5\n", "events.csv:3:"),
+        ("rep,t,method,covered,size\n0,0,pemi_det,1,2.5\n", "events.csv:2:"),
+        ("rep,t,method,covered,size\n-1,1,pemi_det,1,2.5\n", "events.csv:2:"),
+        ("rep,t,method,covered,size\n0,1,pemi_bogus,1,2.5\n", "events.csv:2:"),
     ],
-    ids=["no size column", "size cell abc", "covered 7", "size nan", "size negative"],
+    ids=[
+        "no size column", "size cell abc", "covered 7", "size nan", "size negative",
+        "t -2 and method bogus", "t 0", "rep negative", "method bogus",
+    ],
 )
 def test_malformed_event_log_is_a_data_error(tmp_path, capsys, log, where):
     events = tmp_path / "events.csv"

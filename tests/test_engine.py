@@ -12,7 +12,6 @@ from pemi.engine import (
     _single_test,
     multi_test_pvalue,
     pemi_pvalue,
-    pemi_pvalue_randomized,
     pemi_set_grid,
     reference_mask,
 )
@@ -82,7 +81,7 @@ def test_randomized_u1_equals_deterministic(rng, residual_score):
     perms = sample_permutations(5, 30, seed=4)
     for y in (-0.5, 0.8):
         det = pemi_pvalue(y, data, rule, residual_score, perms)
-        rand = pemi_pvalue_randomized(y, data, rule, residual_score, perms, u=1.0)
+        rand = pemi_pvalue(y, data, rule, residual_score, perms, u=1.0)
         assert rand.value == pytest.approx(det.value)
 
 
@@ -94,10 +93,10 @@ def test_randomized_all_ties_gives_u():
 
     data = DataSequence(x=[[0.0], [1.0]], y=[0.0, 1.0], test_x=[2.0])
     perms = sample_permutations(3, 10, seed=1)
-    p = pemi_pvalue_randomized(0.0, data, AlwaysSelectRule(), ConstScore(), perms, u=0.37)
+    p = pemi_pvalue(0.0, data, AlwaysSelectRule(), ConstScore(), perms, u=0.37)
     assert p.value == pytest.approx(0.37)
     with pytest.raises(DomainError):
-        pemi_pvalue_randomized(0.0, data, AlwaysSelectRule(), ConstScore(), perms, u=1.2)
+        pemi_pvalue(0.0, data, AlwaysSelectRule(), ConstScore(), perms, u=1.2)
 
 
 def test_finite_set_alpha_zero_keeps_all(rng, residual_score):

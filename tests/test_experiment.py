@@ -31,6 +31,17 @@ def test_vanilla_set_rank_examples():
     assert math.isinf(vanilla_set(np.array([1.0, 2.0, 3.0]), 0.1).threshold)
 
 
+def test_vanilla_set_takes_the_closed_form_rank_at_every_level():
+    """n past scores calibrate like a closed-form reference of size n + 1,
+    including the levels where (1 - alpha) * (n + 1) is an integer."""
+    scores = np.random.default_rng(0).permutation(399).astype(float)
+    for k in range(1, 100):
+        alpha = k / 100
+        for n in range(400):
+            want = fast.CalibrationDetail(n + 1, scores[:n]).threshold(alpha).threshold
+            assert vanilla_set(scores[:n], alpha).threshold == want, (alpha, n)
+
+
 def _tiny_config(**overrides):
     base = dict(
         T=4,

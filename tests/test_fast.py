@@ -162,6 +162,21 @@ def test_randomized_all_scores_equal_structure(rng):
                 assert not dset.inclusive
 
 
+def test_randomized_engine_and_closed_form_agree_where_u_times_ties_meets_the_level(rng, residual_score):
+    """Two ties (the identity and the row keeping the test point in place) in
+    a reference of six: at these corners ``u * 2`` and ``alpha * 6`` meet in
+    floating point, and the engine and the closed form make one comparison."""
+    data = make_sequence(rng, t=3)
+    rule = AlwaysSelectRule()
+    perms = all_orders_sample(3, skip_identity=True)
+    y = 100.0
+    assert residual_score.of_point(data.test_x, y) > residual_score.of_points(data.x, data.y).max()
+    for alpha, u in ((0.1, 0.30000000000000004), (0.2, 0.6000000000000001), (0.3, 0.9)):
+        dset = fast.covariate_set_randomized(data, rule, residual_score, perms, alpha, u)
+        generic = pemi_set_grid([y], data, rule, residual_score, perms, alpha, u=u)
+        assert generic[0] == dset.contains(y, residual_score, data.test_x), (alpha, u)
+
+
 # -- cutoff rules -------------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pemi.engine import pemi_pvalue
+from pemi import fast
 from pemi.errors import GuardError, PreconditionError
+from pemi.experiment import vanilla_set
 from pemi.oracle import (
     all_orders_sample,
     full_pemi_pvalue,
@@ -16,7 +18,7 @@ from pemi.oracle import (
     permutation_fcp_pvalue,
 )
 from pemi.permutations import sample_permutations
-from pemi.quantiles import inflated_quantile
+from pemi.quantiles import coverage_rank, kth_smallest_or_inf
 from pemi.rules import AlwaysSelectRule, DecisionDrivenRule, EarlierOutcomeRule, WeightedPredictionRule
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence
@@ -110,7 +112,20 @@ def test_jomi_always_rule_uses_all_points(rng, residual_score):
     assert jomi_reference(0.0, data, AlwaysSelectRule()) == [0, 1, 2, 3]
     got = jomi_set_symmetric(data, AlwaysSelectRule(), residual_score, alpha=0.3)
     scores = residual_score.of_points(data.x, data.y)
-    assert got.threshold == inflated_quantile(0.7, scores)
+    assert got.threshold == kth_smallest_or_inf(coverage_rank(0.3, 5), scores)
+
+
+def test_always_rule_threshold_is_one_rank_across_constructions(rng, residual_score):
+    """With no selection effect the closed form over all orderings, the swap
+    set and the split-conformal baseline give one threshold, also at a level
+    where (1 - alpha) * t is an integer: t = 5, alpha = 0.2 -> rank 4 of 4."""
+    data = make_sequence(rng, t=5)
+    rule = AlwaysSelectRule()
+    scores = residual_score.of_points(data.x, data.y)
+    closed = fast.covariate_set(data, rule, residual_score, all_orders_sample(5, skip_identity=True), 0.2)
+    swap = jomi_set_symmetric(data, rule, residual_score, 0.2)
+    split = vanilla_set(scores, 0.2)
+    assert closed.threshold == swap.threshold == split.threshold == scores.max()
 
 
 def test_swap_reference_is_the_swaps_that_reselect(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pemi.errors import DomainError
 from pemi.quantiles import (
     coverage_rank,
-    inflated_quantile,
     kth_smallest_or_inf,
     weighted_quantile,
 )
@@ -79,10 +78,3 @@ def test_coverage_rank_exact_over_floats():
     assert coverage_rank(0.1, 30) == 27
     for n in range(1, 200):
         assert coverage_rank(0.4, n) == math.ceil(round((1 - 0.4) * n, 9) - 1e-9)
-
-
-def test_inflated_quantile_is_calibration_rank():
-    # rank ceil(beta * (n+1)) over the values, +inf past the end
-    assert inflated_quantile(0.5, [1.0, 2.0, 3.0]) == 2.0
-    assert inflated_quantile(0.9, [1.0, 2.0, 3.0]) == math.inf
-    assert inflated_quantile(0.5, []) == math.inf

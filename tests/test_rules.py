@@ -375,6 +375,16 @@ def test_elond_alpha_outside_unit_interval_rejected(alpha):
         ELondRule(f_score=lambda X, c: X[:, 0] - c, alpha=alpha)
 
 
+def test_elond_negative_gamma_rejected_like_lond():
+    def gamma(t):
+        return -0.1
+
+    with pytest.raises(ConfigurationError):
+        LondEngine(alpha=0.5, gamma=gamma).alphas(np.full(3, 0.9))
+    with pytest.raises(ConfigurationError):
+        elond_selection_profile([0.9] * 3, [0.95] * 3, 0.5, gamma)
+
+
 # -- batch/scalar agreement ---------------------------------------------------
 
 
