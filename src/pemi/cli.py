@@ -100,6 +100,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     result = run_experiment(config)
     paths = write_outputs(result)
+    for line in result.warnings:
+        print(f"warning: {line}", file=sys.stderr)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
     return 0

@@ -9,9 +9,9 @@ scores by direct evaluation — the closed-form module reproduces these
 answers without enumerating candidate labels.
 
 A rule's point values depend on each point alone, so a call imputes the
-label and evaluates the model once (``rule.replay``); each sampled
-permutation only indexes those slot arrays and replays the rule's scalar
-reference decision, never a batched kernel.
+label and evaluates the model once (``rule.replay``); the sampled
+permutations only index those slot arrays, and one ``rule.decide_rows``
+call decides every row (a cutoff rule's kernel takes the whole batch).
 """
 
 from __future__ import annotations
@@ -82,18 +82,19 @@ def reference_mask(
     With a taxonomy, membership additionally requires the whole permuted
     selection trajectory to stay inside it.  The identity is not part of
     the sample and is accounted for separately by the p-value functions.
-    Each row replays ``rule.decide`` on the arguments that ``rule.replay``
-    gives under that row's order, with the values computed once per call.
+    The values are computed once per call (``rule.replay``).  Without a
+    taxonomy, one gather of every row's arguments goes to one
+    ``rule.decide_rows`` call; with one, each row replays
+    ``rule.decide_trajectory`` under its order.
     """
     _check_domain(data, perms)
     arguments = rule.replay(data, y)
+    if taxonomy is None:
+        return rule.decide_rows(*arguments(perms.matrix))
     out = np.zeros(perms.m, dtype=bool)
     for i, order in enumerate(perms.matrix):
-        if taxonomy is None:
-            out[i] = rule.decide(*arguments(order))
-        else:
-            traj = rule.decide_trajectory(*arguments(order))
-            out[i] = traj[-1] == 1 and taxonomy.contains(traj)
+        traj = rule.decide_trajectory(*arguments(order))
+        out[i] = traj[-1] == 1 and taxonomy.contains(traj)
     return out
 
 

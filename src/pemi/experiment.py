@@ -497,6 +497,12 @@ class ExperimentResult:
     rows: list[MetricsRow]
     fcr: list[FcrReport]
 
+    @property
+    def warnings(self) -> list[str]:
+        """One line per method that issued no set."""
+        issued = {e.method for e in self.events}
+        return [f"method {m} issued no prediction sets" for m in self.config.methods if m not in issued]
+
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute every replication and aggregate; deterministic in the seed."""
@@ -549,6 +555,8 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path | None = None) -
         "fcr": {r.method: r.fcr for r in result.fcr},
         "rows": [dataclasses.asdict(r) for r in result.rows],
     }
+    if warnings := result.warnings:
+        payload["warnings"] = warnings
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,8 +7,9 @@ slot-ordered values plus the labels and cutoffs of the labeled prefix.
 ``replay`` is the one step from a ``DataSequence`` to its arguments: it
 imputes the test label, checks what the rule needs and computes the
 values once, then gives the arguments under any slot order.  ``select``
-and ``trajectory`` (the observed order), the generic engine (each
-permuted row), the closed forms' front end and the oracle all use it.  A
+and ``trajectory`` (the observed order), the generic engine (all permuted
+rows at once, through ``decide_rows``), the closed forms' front end and
+the oracle all use it.  A
 covariate rule (``covariate_only``: the decision never reads labels)
 decides from the values alone: ``select_values`` is its reference, and one
 batched kernel over an ``(R, T)`` array of permuted values serves the
@@ -86,7 +87,9 @@ class SelectionRule(abc.ABC):
     Class constants state what a rule family needs: ``covariate_only``
     (the decision never reads labels), ``needs_cutoffs`` (every point
     carries a cutoff), ``needs_offline`` (a non-empty offline block) and
-    ``online_only`` (no offline block).
+    ``online_only`` (no offline block).  ``decide_rows`` runs ``decide``
+    on each row of a batch; only a rule whose one kernel is its reference
+    (``CutoffRule``) overrides it.
     """
 
     covariate_only: ClassVar[bool] = False
@@ -102,6 +105,11 @@ class SelectionRule(abc.ABC):
     def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
         """Reference decision on slot-ordered values (test slot last) and the labeled slots' labels and cutoffs."""
 
+    def decide_rows(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> np.ndarray:
+        """(R,) bools, ``decide`` on each row of (R, n) slot-ordered arrays; an override gives the same bits."""
+        cut = [None] * values.shape[0] if cutoffs is None else cutoffs
+        return np.array([self.decide(*row, n_offline) for row in zip(values, labels, cut)], dtype=bool)
+
     def decide_trajectory(self, values, labels, cutoffs, n_offline: int) -> tuple[int, ...]:
         """``decide`` on every online prefix of the same slot-ordered arrays."""
         return tuple(
@@ -115,8 +123,9 @@ class SelectionRule(abc.ABC):
 
         The returned function gives the arguments of ``decide`` with the
         slots in ``order`` (an int64 permutation, unchecked), or in the
-        observed order for ``None``, which indexes nothing.  A
-        point's value depends on that point alone, so reordering only
+        observed order for ``None``, which indexes nothing.  An (R, n)
+        matrix of orders gives the row-stacked arguments of ``decide_rows``.
+        A point's value depends on that point alone, so reordering only
         indexes the slot-order values, labels and cutoffs.
         """
         cut = data.full_cutoffs()
@@ -134,7 +143,7 @@ class SelectionRule(abc.ABC):
         def arguments(order: np.ndarray | None) -> tuple:
             if order is None:
                 return values, labels[:-1], None if cut is None else cut[:-1], n_offline
-            head = order[:-1]
+            head = order[..., :-1]
             return values[order], labels[head], None if cut is None else cut[head], n_offline
 
         return arguments
@@ -400,8 +409,9 @@ class CutoffRule(SelectionRule):
     turns the labeled slots into side indicators ``labels <= cutoffs``
     (the test slot carries 0, which no decision reads) and hands them to
     ``selects_last``, the one kernel for an ``(n,)`` history or every row of
-    an ``(R, n)`` batch; the two-sided closed form calls the same kernel
-    with the test point's indicator fixed to either side.
+    an ``(R, n)`` batch; ``decide_rows`` hands it the whole batch in one
+    call, and the two-sided closed form calls it with the test point's
+    indicator fixed to either side.
     """
 
     needs_cutoffs: ClassVar[bool] = True
@@ -416,11 +426,14 @@ class CutoffRule(SelectionRule):
     def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
         return bool(self.selects_last(values, _sides(labels, cutoffs), n_offline))
 
+    def decide_rows(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> np.ndarray:
+        return self.selects_last(values, _sides(labels, cutoffs), n_offline)
+
 
 def _sides(labels: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """Side indicators of the labeled slots followed by a 0 for the test slot."""
-    indicators = np.zeros(labels.shape[0] + 1)
-    indicators[:-1] = labels <= cutoffs
+    """Side indicators of the labeled slots followed by a 0 for the test slot, along the last axis."""
+    indicators = np.zeros(labels.shape[:-1] + (labels.shape[-1] + 1,))
+    indicators[..., :-1] = labels <= cutoffs
     return indicators
 
 

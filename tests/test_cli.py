@@ -65,6 +65,28 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (target / "events.csv").exists()
 
 
+def test_a_method_that_issues_no_set_is_warned_about(tmp_path, capsys):
+    # LOND at its default gamma selects no step here: p_1 = 1 and the level stays far below 1/t
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        CONFIG.replace("T: 4\nN: 2", "T: 60\nN: 3").replace("M: 5", "M: 50").replace(
+            "rule: {name: always}",
+            "rule: {name: conformal_pvalue, model: {name: true_mean}}\ncutoff: {quantile: 0.7}",
+        )
+    )
+    out = tmp_path / "none"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "events.csv").read_text() == "rep,t,method,covered,size\n"
+    warnings = ["method pemi_det issued no prediction sets", "method vanilla issued no prediction sets"]
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+    assert json.loads((out / "summary.json").read_text())["warnings"] == warnings
+    # a run that issues sets warns about nothing and writes no ``warnings`` key
+    cfg.write_text(CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "some")]) == 0
+    assert capsys.readouterr().err == ""
+    assert "warnings" not in json.loads((tmp_path / "some" / "summary.json").read_text())
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("T: 3\n")  # missing everything else

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pemi.crosscheck import FAMILIES, GeometricGamma, draw_instance
 from pemi.errors import ConfigurationError
+from pemi.permutations import sample_permutations
 from pemi.rules import (
     AlwaysSelectRule,
     ConformalPValueRule,
@@ -23,7 +25,7 @@ from pemi.rules import (
 )
 from pemi.quantiles import weighted_quantile
 from pemi.scores import LinearModel
-from pemi.thresholds import FixedThreshold, LondEngine
+from pemi.thresholds import FixedThreshold, LondEngine, default_gamma
 from pemi.types import DataSequence
 
 from conftest import make_sequence, prefix
@@ -386,6 +388,45 @@ def test_elond_negative_gamma_rejected_like_lond():
 
 
 # -- batch/scalar agreement ---------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [0, 1, 20])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decide_rows_is_decide_on_each_row_bit_for_bit(family, M):
+    """The engine decides all sampled rows of a label in one ``decide_rows``
+    call; ``decide`` on each row is the reference it must reproduce."""
+    rng = np.random.default_rng(700 + 10 * FAMILIES.index(family) + M)
+    for t in (2, 5, 7):
+        inst = draw_instance(family, rng, t)
+        data, rule = inst.data, inst.rule
+        perms = sample_permutations(t, M, seed=int(rng.integers(2**31)), n_offline=data.n_offline)
+        labels = [float(v) for v in rng.normal(size=3)]
+        if data.test_cutoff is not None:  # the imputed label on its own cutoff
+            labels.append(data.test_cutoff)
+        for y in labels:
+            arguments = rule.replay(data, y)
+            rows = rule.decide_rows(*arguments(perms.matrix))
+            assert rows.dtype == bool and rows.shape == (M,)
+            assert np.array_equal(rows, [rule.decide(*arguments(order)) for order in perms.matrix])
+
+
+@pytest.mark.parametrize("R", [1, 200])
+@pytest.mark.parametrize("decay", [None, 0.99, 2.0])
+@pytest.mark.parametrize("gamma", [default_gamma, GeometricGamma(0.6)], ids=["default", "geometric"])
+def test_lond_decide_rows_is_decide_on_each_row_bit_for_bit(gamma, decay, R):
+    rng = np.random.default_rng(R)
+    rule = ConformalPValueRule(f_score=cutoff_score, engine=LondEngine(alpha=0.9, gamma=gamma), decay=decay)
+    picked = 0
+    for n in (1, 2, 7, 60):
+        # a coarse grid gives tied scores and labels on their cutoffs
+        values = np.round(rng.normal(size=(R, n)), 1)
+        labels = np.round(rng.normal(size=(R, n - 1)), 1)
+        cutoffs = np.round(rng.normal(size=(R, n - 1)), 1)
+        rows = rule.decide_rows(values, labels, cutoffs, 0)
+        assert np.array_equal(rows, [rule.decide(values[r], labels[r], cutoffs[r], 0) for r in range(R)])
+        picked += int(rows.sum())
+    if decay == 2.0 and R > 1:  # heavy old points let LOND select at all
+        assert 0 < picked < 4 * R
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -62,10 +62,12 @@ def test_engines_read_only_the_past(engine):
 
 @pytest.mark.parametrize("engine", [FixedThreshold(0.3), LondEngine(alpha=0.4)])
 def test_batch_matches_rowwise(engine):
-    p = np.random.default_rng(3).uniform(size=(5, 7))
-    batch = engine.alphas_batch(p)
-    for r in range(5):
-        assert np.allclose(batch[r], engine.alphas(p[r]))
+    """Bit for bit: the engine decides a batch of permuted rows through ``alphas_batch``."""
+    for R in (5, 200):
+        p = np.random.default_rng(3).uniform(size=(R, 7))
+        batch = engine.alphas_batch(p)
+        for r in range(R):
+            assert np.array_equal(batch[r], engine.alphas(p[r]))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1])
