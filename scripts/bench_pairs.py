@@ -1,14 +1,19 @@
 """Paired benchmark runs: a parent checkout against this working tree.
 
 Runs the unchanged ``perfbench/run.py`` of each side, alternately, for a
-number of pairs per workload.  Both runs of a pair use the same seed, and
-the side that runs first alternates from pair to pair, so a drift in the
-machine's speed does not favour one side.  Each run's last line of
-standard output is its JSON result.  For every end-to-end metric of
-``BENCHMARK.json`` the script prints the per-pair values, each side's
-median and quartiles, and how many pairs the change won, and it writes
-everything to ``BENCH_<number>.json`` at the root of the repository.
-Every run lasts the ``run_seconds`` of ``BENCHMARK.json`` on both sides.
+number of pairs per workload.  The change side runs from a copy of this
+working tree (the files ``git ls-files -co --exclude-standard`` lists) in
+a temporary directory beside the parent checkout, deleted when the script
+exits, so both sides run from sibling directories of the same kind and
+not one of them from a long-used working tree.  Both runs of a pair use
+the same seed, and the side that runs first alternates from pair to
+pair, so a drift in the machine's speed does not favour one side.  Each
+run's last line of standard output is its JSON result.  For every
+end-to-end metric of ``BENCHMARK.json`` the script prints the per-pair
+values, each side's median and quartiles, and how many pairs the change
+won, and it writes everything to ``BENCH_<number>.json`` at the root of
+the repository.  Every run lasts the ``run_seconds`` of
+``BENCHMARK.json`` on both sides.
 
 Make the parent checkout with ``git worktree add ../parent HEAD~1`` (or
 ``git archive``), then, from the root of this checkout:
@@ -27,9 +32,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +59,22 @@ def git_rev(path: Path) -> str | None:
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"], capture_output=True, text=True
     )
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def copy_tree_beside(parent: Path) -> Path:
+    """This checkout's tracked and untracked, not ignored files, copied into a
+    new temporary directory next to ``parent``."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-co", "--exclude-standard", "-z"],
+        capture_output=True, check=True,
+    ).stdout
+    dest = Path(tempfile.mkdtemp(prefix="bench-change-", dir=parent.parent))
+    for name in filter(None, listed.split(b"\0")):
+        src = ROOT / os.fsdecode(name)
+        if src.is_file():  # a tracked file deleted from the working tree is listed too
+            (dest / os.fsdecode(name)).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / os.fsdecode(name))
+    return dest
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -125,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
             "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
             f"{SECONDS!r} --trace 0",
             "parent": git_rev(parent) or "parent",
-            "change": f"working tree on {git_rev(ROOT) or 'unknown'}",
+            "change": f"working tree on {git_rev(ROOT) or 'unknown'}, run from a copy in a "
+            "temporary directory beside the parent, deleted after the runs",
             "machine": {
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
@@ -135,20 +159,24 @@ def main(argv: list[str] | None = None) -> int:
     )
     workloads = bench.setdefault("workloads", {})
     all_correct = True
-    for workload in args.workloads.split(","):
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            first = "parent" if i % 2 == 0 else "change"
-            runs = {}
-            for side in (first, "change" if first == "parent" else "parent"):
-                runs[side] = run_once(parent if side == "parent" else ROOT, workload, seed)
-                all_correct &= runs[side]["correct"] and runs[side]["exit"] == 0
-            pairs.append({"seed": seed, "first": first, **runs})
-            print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-        summary = summarize(pairs)
-        workloads[workload] = {"pairs": pairs, "summary": summary}
-        report(workload, pairs, summary)
+    change = copy_tree_beside(parent)
+    try:
+        for workload in args.workloads.split(","):
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                first = "parent" if i % 2 == 0 else "change"
+                runs = {}
+                for side in (first, "change" if first == "parent" else "parent"):
+                    runs[side] = run_once(parent if side == "parent" else change, workload, seed)
+                    all_correct &= runs[side]["correct"] and runs[side]["exit"] == 0
+                pairs.append({"seed": seed, "first": first, **runs})
+                print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+            summary = summarize(pairs)
+            workloads[workload] = {"pairs": pairs, "summary": summary}
+            report(workload, pairs, summary)
+    finally:
+        shutil.rmtree(change)
     out_path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out_path.name}")
     return 0 if all_correct else 1

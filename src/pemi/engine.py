@@ -11,7 +11,9 @@ answers without enumerating candidate labels.
 A rule's point values depend on each point alone, so a call imputes the
 label and evaluates the model once (``rule.replay``); the sampled
 permutations only index those slot arrays, and one ``rule.decide_rows``
-call decides every row (a cutoff rule's kernel takes the whole batch).
+call decides every row (the cutoff and earlier-outcome kernels take the
+whole batch).  The earlier-outcome closed form reads its two side masks
+from ``reference_mask`` itself.
 """
 
 from __future__ import annotations
@@ -55,12 +57,9 @@ class SelectionPValue:
     u: float | None = None
 
     def exceeds(self, alpha: float) -> bool:
-        """p > alpha: exact count arithmetic on alpha's binary value for the
-        deterministic form; for the randomized form the comparison the
-        closed form's threshold search makes, undivided."""
-        if self.tie_count is None:
-            return exceeds_level(self.exceed_count, self.ref_size, alpha)
-        return self.exceed_count + self.u * self.tie_count > alpha * self.ref_size
+        """p > alpha: exact count arithmetic on the binary values of alpha
+        and ``u``, the comparison the closed form's threshold search makes."""
+        return exceeds_level(self.exceed_count, self.ref_size, alpha, self.tie_count or 0, self.u or 0.0)
 
 
 def _check_domain(data: DataSequence, perms: PermutationSample) -> None:

@@ -7,9 +7,11 @@ Four structures make this possible:
 * cutoff rules, p-value and e-value selection alike — the imputed label
   enters only through its side of the test cutoff, so one form gives one
   threshold per side for both;
-* earlier-outcome rules — the label line splits at the sorted past
-  predictions into intervals on which the reference set is constant,
-  plus the boundary points themselves;
+* earlier-outcome rules — the label enters only through its side of the
+  last slot's prediction, so the engine's references at a label below
+  and at one above every prediction split the label line at the sorted
+  past predictions into intervals on which the reference set is
+  constant, plus the boundary points themselves;
 * label-free multi-test rules — one reference for the selected test
   index, so again a single threshold.
 
@@ -23,9 +25,9 @@ takes one calibration step, ``_calibration``: the rank-
 ``ceil((1-alpha)*ref_size)`` score among the members that moved a labeled
 point into the test slot (``CalibrationDetail.threshold``).  Each path is
 verified against the generic engine by the test suite; the arithmetic
-below deliberately routes through the same kernels the rules use so both
-routes see identical floating-point values.  ``_closed_form`` is the one
-place that picks the construction for a rule.
+routes through the rules' own kernels, never a copy of a rule's formula,
+so both routes see identical floating-point values.  ``_closed_form`` is
+the one place that picks the construction for a rule.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .rules import (
     SelectionRule,
     SelectionTaxonomy,
     _sides,
-    recency_weights,
 )
 from .scores import LastPointScore, score_each_point
 from .sets import CutoffPiecewiseSet, IntervalUnionSet, ThresholdSet
@@ -212,19 +213,25 @@ def _randomized_threshold(
     (ties also count its multiplicity).  Returns (threshold, inclusive);
     (-inf, False) encodes the empty set, (+inf, True) the full space.
     """
-    stay = ref_size - scores_moved.shape[0]  # identity plus stay-in-place members
-    bar = alpha * ref_size
+    stay = int(ref_size) - scores_moved.shape[0]  # identity plus stay-in-place members
     values, counts = np.unique(scores_moved, return_counts=True)
+    a, b = float(alpha).as_integer_ratio()
+    c, d = float(u).as_integer_ratio()
+    bar = a * d * int(ref_size)
+
+    def exceeds(strict: int, ties: int) -> bool:
+        """``exceeds_level``'s exact strict + u * ties > alpha * ref_size, its ratios taken once per call."""
+        return b * (d * strict + c * ties) > bar
+
     strictly_above = 0
-    # SelectionPValue.exceeds writes the comparison the same way: strict + u * ties > alpha * ref_size
-    if strictly_above + u * stay > bar:
+    if exceeds(strictly_above, stay):
         return math.inf, True
-    for idx in range(values.shape[0] - 1, -1, -1):
-        if strictly_above + u * (stay + counts[idx]) > bar:
-            return float(values[idx]), True
-        strictly_above += int(counts[idx])
-        if strictly_above + u * stay > bar:
-            return float(values[idx]), False
+    for value, count in zip(values[::-1].tolist(), counts[::-1].tolist()):
+        if exceeds(strictly_above, stay + count):
+            return value, True
+        strictly_above += count
+        if exceeds(strictly_above, stay):
+            return value, False
     return -math.inf, False
 
 
@@ -267,51 +274,31 @@ def earlier_outcome_set(
 ) -> IntervalUnionSet:
     """Interval-partition set for selection by past-label quantiles.
 
-    Between consecutive sorted past predictions the imputed label's
-    comparison with every moved-in prediction is constant, so each open
-    interval gets one threshold; the partition boundaries themselves are
-    decided by direct p-value evaluation.
+    The imputed label enters only through its side of the prediction in
+    the last slot, so the engine's reference at a label below every
+    prediction and at one above every prediction gives both sides of every
+    row.  Between consecutive sorted past predictions each moved-in row's
+    side is constant, so each open interval gets one threshold; the
+    partition boundaries themselves are decided by direct p-value
+    evaluation.
     """
     mu_points, point_scores = _observed(data, rule, score, perms)
     t = data.t
     if t == 1:
         return IntervalUnionSet((), (math.inf,), ())
-    weights = recency_weights(t - 1, rule.decay)
-
     breakpoints = np.sort(mu_points[: t - 1])
-    full_y = data.full_y()
-    test_slot = t - 1
-
-    P = perms.matrix
-    last = P[:, -1]
-    mu_last = mu_points[last]
-    in_prefix = P[:, :-1] == test_slot
-    w_l = in_prefix @ weights  # weight of the slot holding the test point, 0 if none
-    y_perm = full_y[P[:, :-1]]
-    base = ((y_perm > mu_last[:, None]) * weights).sum(axis=1)  # NaN test slot drops out
-    # the rule's own comparison w @ ind <= beta_sel * W, without and with the imputed label's weight
-    bar = rule.beta_sel * float(weights.sum())
-    sel0 = base <= bar
-    sel1 = base + w_l <= bar
-    stay = last == test_slot
-    sel_stay = stay & sel0
-
-    thresholds = []
-    for j in range(t):
-        mask = sel_stay.copy()
-        if j >= 1:
-            mask |= ~stay & (mu_last <= breakpoints[j - 1]) & sel1
-        if j <= t - 2:
-            mask |= ~stay & (mu_last >= breakpoints[j]) & sel0
-        thresholds.append(_calibration(point_scores, perms, mask).threshold(alpha).threshold)
-
-    included = []
-    for b in breakpoints:
-        included.append(pemi_pvalue(float(b), data, rule, score, perms).exceeds(alpha))
+    mu_last = mu_points[perms.matrix[:, -1]]
+    below, above = (reference_mask(y, data, rule, perms) for y in (-math.inf, math.inf))
+    # a row keeping the test point in place never reads its label: there below == above
+    thresholds = tuple(
+        _calibration(point_scores, perms, np.where(mu_last <= lo, above, below)).threshold(alpha).threshold
+        for lo in (-math.inf, *breakpoints)
+    )
+    included = tuple(pemi_pvalue(float(b), data, rule, score, perms).exceeds(alpha) for b in breakpoints)
     return IntervalUnionSet(
         breakpoints=tuple(float(b) for b in breakpoints),
-        thresholds=tuple(thresholds),
-        boundary_included=tuple(included),
+        thresholds=thresholds,
+        boundary_included=included,
     )
 
 

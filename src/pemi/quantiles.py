@@ -6,14 +6,14 @@ threshold is the rank-``coverage_rank(alpha, ref_size)`` score through
 exceeds the number of scores.  ``ref_size`` counts the test point's own
 slot, so the split-conformal quantile over ``n`` scores is the rank
 ``coverage_rank(alpha, n + 1)``.  The rank is taken on alpha's binary
-value, as ``exceeds_level`` compares a count with it, so a threshold and
-a per-label p-value decide alike at every level.
+value, as ``exceeds_level`` compares a count (plus ``u`` times the ties
+for the randomized form) with it, so a threshold and a per-label p-value
+decide alike at every level.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -50,16 +50,18 @@ def coverage_rank(alpha: float, ref_size: int) -> int:
     """
     if ref_size < 0:
         raise DomainError("ref_size must be >= 0")
-    frac = (1 - Fraction(alpha)) * ref_size
-    return -(-frac.numerator // frac.denominator)
+    a, b = float(alpha).as_integer_ratio()
+    return -(-(b - a) * int(ref_size) // b)
 
 
-def exceeds_level(count: int, ref_size: int, alpha: float) -> bool:
-    """Exact test of count / ref_size > alpha on the binary value of alpha."""
+def exceeds_level(count: int, ref_size: int, alpha: float, ties: int = 0, u: float = 0.0) -> bool:
+    """Exact test of (count + u * ties) / ref_size > alpha on the binary
+    values of alpha and of the tie-break uniform u."""
     if ref_size <= 0:
         raise DomainError("ref_size must be >= 1")
-    frac = Fraction(alpha)
-    return count * frac.denominator > frac.numerator * ref_size
+    a, b = float(alpha).as_integer_ratio()
+    c, d = float(u).as_integer_ratio()
+    return b * (d * count + c * ties) > a * d * ref_size
 
 
 def weighted_quantile(beta: float, values: Sequence[float], weights: Sequence[float]) -> float:

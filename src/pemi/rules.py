@@ -9,14 +9,16 @@ imputes the test label, checks what the rule needs and computes the
 values once, then gives the arguments under any slot order.  ``select``
 and ``trajectory`` (the observed order), the generic engine (all permuted
 rows at once, through ``decide_rows``), the closed forms' front end and
-the oracle all use it.  A
-covariate rule (``covariate_only``: the decision never reads labels)
-decides from the values alone: ``select_values`` is its reference, and one
-batched kernel over an ``(R, T)`` array of permuted values serves the
-closed forms in ``pemi.fast``, which pick their construction by rule type.
+the oracle all use it.  A covariate rule (``covariate_only``: the decision
+never reads labels) decides from the values alone: ``select_values`` is
+its reference, and one batched kernel over an ``(R, T)`` array of permuted
+values serves the closed forms in ``pemi.fast``, which pick their
+construction by rule type.
 A cutoff rule reads each label only through its side of its cutoff:
 ``CutoffRule.selects_last`` on side indicators is both its reference and
-its batched kernel.
+its batched kernel, and so is ``EarlierOutcomeRule.decide_rows``.  Every
+weighted statistic accumulates through one ``_weighted_sum``, so a row
+decides alike on its own and inside a batch.
 
 Rules are immutable and pure; evaluation on permuted sequences happens by
 indexing the permuted order, never by mutating state.
@@ -81,6 +83,13 @@ def _weights_and_total(n: int, decay: float | None) -> tuple[np.ndarray, float]:
     return w, w.sum()
 
 
+def _weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The one accumulation of every weighted statistic along the last axis:
+    a row gives the same float on its own as inside a batch (``w @ x`` and
+    ``x @ w`` do not)."""
+    return (x * w).sum(axis=-1)
+
+
 class SelectionRule(abc.ABC):
     """Deterministic map from an ordered sequence to a select/skip bit.
 
@@ -88,8 +97,8 @@ class SelectionRule(abc.ABC):
     (the decision never reads labels), ``needs_cutoffs`` (every point
     carries a cutoff), ``needs_offline`` (a non-empty offline block) and
     ``online_only`` (no offline block).  ``decide_rows`` runs ``decide``
-    on each row of a batch; only a rule whose one kernel is its reference
-    (``CutoffRule``) overrides it.
+    on each row of a batch; a rule whose one kernel is its reference
+    (``CutoffRule``, ``EarlierOutcomeRule``) overrides it.
     """
 
     covariate_only: ClassVar[bool] = False
@@ -279,8 +288,8 @@ class WeightedPredictionRule(CovariateRule):
             return False
         w, total = _weights_and_total(past.shape[0], self.decay)
         if self.mode == "average":
-            return bool(v_t > float(w @ past) / total)
-        return bool(float(w @ (past < v_t)) >= (1 - self.q_sel) * total)
+            return bool(v_t > _weighted_sum(past, w) / total)
+        return bool(_weighted_sum(past < v_t, w) >= (1 - self.q_sel) * total)
 
     def select_values_batch(self, values: np.ndarray) -> np.ndarray:
         past, v_t = values[:, :-1], values[:, -1:]
@@ -288,8 +297,8 @@ class WeightedPredictionRule(CovariateRule):
             return np.zeros(values.shape[0], dtype=bool)
         w, total = _weights_and_total(past.shape[1], self.decay)
         if self.mode == "average":
-            return (past @ w) / total < v_t[:, 0]
-        return (past < v_t) @ w >= (1 - self.q_sel) * total
+            return _weighted_sum(past, w) / total < v_t[:, 0]
+        return _weighted_sum(past < v_t, w) >= (1 - self.q_sel) * total
 
 
 @dataclass(frozen=True)
@@ -546,7 +555,9 @@ def elond_selection_profile(
 class EarlierOutcomeRule(SelectionRule):
     """Select when the prediction reaches the weighted upper quantile of
     the earlier labels: mu(x_t) >= wQ(1 - beta_sel; {y_i}), evaluated
-    exactly as sum_i w_i 1{y_i > mu_t} <= beta_sel * W."""
+    exactly as sum_i w_i 1{y_i > mu_t} <= beta_sel * W (vacuous with no
+    earlier label).  ``decide_rows`` is the one kernel, on one history or
+    every row of a batch, and ``decide`` is that kernel on one row."""
 
     mu: ModelFn
     beta_sel: float
@@ -562,10 +573,11 @@ class EarlierOutcomeRule(SelectionRule):
         return np.asarray(self.mu(X), dtype=float)
 
     def decide(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> bool:
-        if labels.shape[0] == 0:
-            return True  # empty quantile constraint is vacuous
-        w, total = _weights_and_total(labels.shape[0], self.decay)
-        return bool(float(w @ (labels > values[-1])) <= self.beta_sel * total)
+        return bool(self.decide_rows(values, labels, cutoffs, n_offline))
+
+    def decide_rows(self, values: np.ndarray, labels: np.ndarray, cutoffs, n_offline: int) -> np.ndarray:
+        w, total = _weights_and_total(labels.shape[-1], self.decay)
+        return _weighted_sum(labels > values[..., -1:], w) <= self.beta_sel * total
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from pemi import fast
 from pemi.crosscheck import FAMILIES, check_instance, draw_instance
-from pemi.engine import TopPredictionRule, pemi_pvalue, pemi_set_grid, reference_mask
+from pemi.engine import SelectionPValue, TopPredictionRule, pemi_pvalue, pemi_set_grid, reference_mask
 from pemi.errors import ConfigurationError, DomainError, PemiError, PreconditionError
 from pemi.oracle import all_orders_sample, full_pemi_set_grid
 from pemi.permutations import sample_permutations
@@ -33,6 +34,7 @@ from pemi.types import DataSequence, MultiTestData
 from conftest import make_sequence
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
+MU1 = LinearModel(intercept=0.0, coef=(1.0,))  # identity on 1-d features
 
 
 def test_rank_arithmetic_examples():
@@ -129,15 +131,26 @@ def test_uncertainty_budget_set_matches_engine_and_enumeration(rng, residual_sco
 
 
 def test_randomized_u1_no_ties_equals_deterministic(rng, residual_score):
-    for trial in range(10):
+    """m = 19, 29 and 39 make reference sizes of 20, 30 and 40 when every row
+    re-selects, where ``0.3 * ref_size`` rounds onto an integer."""
+    for trial, m in itertools.product(range(10), (15, 19, 29, 39)):
         data = make_sequence(rng, t=6)
-        rule = WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.5)
-        if not rule.select(data):
-            continue
-        perms = sample_permutations(6, 15, seed=trial)
-        det = fast.covariate_set(data, rule, residual_score, perms, 0.3)
-        rand = fast.covariate_set_randomized(data, rule, residual_score, perms, 0.3, u=1.0)
-        assert rand.threshold == det.threshold
+        for rule in (WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.5), AlwaysSelectRule()):
+            if not rule.select(data):
+                continue
+            perms = sample_permutations(6, m, seed=trial)
+            det = fast.covariate_set(data, rule, residual_score, perms, 0.3)
+            rand = fast.covariate_set_randomized(data, rule, residual_score, perms, 0.3, u=1.0)
+            assert rand.threshold == det.threshold
+
+
+def test_randomized_u1_decides_exactly_where_alpha_times_ref_size_rounds():
+    """0.3 * 10 rounds to 3.0, but 3 exceedances of 10 lie above alpha's
+    binary value: at u = 1 the randomized form keeps the deterministic 8.0."""
+    detail = fast.CalibrationDetail(10, np.arange(1.0, 10.0))
+    assert detail.threshold(0.3).threshold == 8.0
+    assert detail.threshold(0.3, u=1.0) == detail.threshold(0.3)
+    assert SelectionPValue(0.3, ref_size=10, exceed_count=2, tie_count=1, u=1.0).exceeds(0.3)
 
 
 def test_randomized_all_scores_equal_structure(rng):
@@ -276,7 +289,7 @@ def test_earlier_outcome_selection_compares_like_the_rule():
     ``63 <= 0.7 * 90`` but not under ``63 / 90 <= 0.7``, which rounds the
     other way.  The closed form must decide as the rule does; the labels
     sit inside the open intervals between the past predictions, where it
-    decides without the engine."""
+    decides from its two side masks, not per label."""
     mu = LinearModel(intercept=0.0, coef=(1.0,))
     score = AbsoluteResidualScore(model=mu)
     data = DataSequence(
@@ -291,6 +304,33 @@ def test_earlier_outcome_selection_compares_like_the_rule():
     generic = pemi_set_grid(grid, data, rule, score, perms, 0.4)
     mine = [dset.contains(float(y), score, data.test_x) for y in grid]
     assert np.array_equal(generic, mine)
+
+
+@pytest.mark.parametrize(
+    "seed, hi, rule",
+    [
+        (3, 60, EarlierOutcomeRule(mu=MU1, beta_sel=0.6731891498405229, decay=0.9)),
+        (80, 120, WeightedPredictionRule(mu=MU1, mode="quantile", q_sel=0.12944999462830953, decay=0.9)),
+    ],
+    ids=["earlier_outcome", "weighted_quantile"],
+)
+def test_decayed_closed_form_matches_engine(seed, hi, rule):
+    """Under geometric decay a closed form that sums the rule's weighted
+    statistic in another order than the engine disagrees with it on 1 and 3
+    grid labels of these two instances."""
+    score = AbsoluteResidualScore(model=LinearModel(0.3, (0.8,)))
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(20, hi))  # points, the last one the test point
+    X = rng.normal(size=(t, 1))
+    Y = X[:, 0] + rng.normal(size=t)
+    data = DataSequence(x=X[:-1], y=Y[:-1], test_x=X[-1])
+    perms = sample_permutations(t, 200, seed=seed)
+    grid = np.linspace(Y.min() - 2, Y.max() + 2, 200)
+    if isinstance(rule, EarlierOutcomeRule):  # the partition boundaries too
+        grid = np.sort(np.concatenate([grid, MU1(data.x)]))
+    dset = fast._closed_form(data, rule, score, perms, 0.3)
+    generic = pemi_set_grid(grid, data, rule, score, perms, 0.3)
+    assert np.array_equal(generic, [dset.contains(float(y), score, data.test_x) for y in grid])
 
 
 def test_earlier_outcome_t1_everything(residual_score):

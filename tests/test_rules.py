@@ -272,16 +272,21 @@ def test_earlier_outcome_example():
 
 @given(st.integers(0, 2**32 - 1))
 def test_earlier_outcome_matches_weighted_quantile_form(seed):
+    """The rule's kernel, on one history and on a batch, against the weighted
+    quantile primitive, which shares no code with it."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 10))
-    ys = rng.normal(size=n)
-    mu_t = float(rng.normal())
+    # real rows, then small-integer rows whose ties put labels on the prediction
+    ys = np.concatenate([rng.normal(size=(4, n)), rng.integers(0, 4, size=(4, n))]).astype(float)
+    mu_t = np.concatenate([rng.normal(size=4), rng.integers(0, 4, size=4)]).astype(float)
+    values = np.zeros((8, n + 1))
+    values[:, -1] = mu_t
     for decay in (None, 0.5):
         rule = EarlierOutcomeRule(mu=MU, beta_sel=0.3, decay=decay)
         w = recency_weights(n, decay)
-        expect = mu_t >= weighted_quantile(0.7, ys, w)
-        got = int(rule.select(seq_from_mu(np.zeros(n), mu_t, ys=ys)))
-        assert got == int(expect)
+        expect = [bool(m >= weighted_quantile(0.7, y, w)) for y, m in zip(ys, mu_t)]
+        assert [rule.select(seq_from_mu(np.zeros(n), m, ys=y)) for y, m in zip(ys, mu_t)] == expect
+        assert rule.decide_rows(values, ys, None, 0).tolist() == expect
 
 
 # -- e-value rule -------------------------------------------------------------
@@ -427,6 +432,47 @@ def test_lond_decide_rows_is_decide_on_each_row_bit_for_bit(gamma, decay, R):
         picked += int(rows.sum())
     if decay == 2.0 and R > 1:  # heavy old points let LOND select at all
         assert 0 < picked < 4 * R
+
+
+def _nudged(x, level, target):
+    """``x`` moved by at most 8 ulps towards ``level(x) == target``; ``level`` increases with ``x``."""
+    for _ in range(8):
+        if level(x) == target:
+            break
+        x = np.nextafter(x, np.inf if level(x) < target else -np.inf)
+    return float(x)
+
+
+@given(
+    n=st.integers(1, 200),
+    rows=st.integers(100, 150),
+    decay=st.sampled_from([None, 0.5, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_statistics_decide_a_row_alike_alone_and_in_a_batch(n, rows, decay, seed):
+    """Each rule's level sits on one row's weighted sum, where a row summed in
+    another order inside a batch than on its own would flip."""
+    rng = np.random.default_rng(seed)
+    w = recency_weights(n, decay)
+    total = w.sum()
+    values = rng.normal(size=(rows, n + 1))  # n earlier slots, then the test slot
+    labels = rng.normal(size=(rows, n))
+    r = int(rng.integers(rows))
+    above = float(((labels[r] > values[r, -1]) * w).sum())
+    below = float(((values[r, :-1] < values[r, -1]) * w).sum())
+    beta = _nudged(above / total, lambda b: b * total, above)
+    q = _nudged(1 - below / total, lambda q: -(1 - q) * total, -below)
+    values_avg = values.copy()  # row r's prediction on its own weighted average
+    values_avg[r, -1] = float((values[r, :-1] * w).sum()) / total
+    earlier = EarlierOutcomeRule(mu=MU, beta_sel=beta if 0 < beta < 1 else 0.5, decay=decay)
+    rows_at_once = earlier.decide_rows(values, labels, None, 0).tolist()
+    assert rows_at_once == [earlier.decide(values[i], labels[i], None, 0) for i in range(rows)]
+    for rule, vals in (
+        (WeightedPredictionRule(mu=MU, mode="quantile", q_sel=q if 0 < q < 1 else 0.5, decay=decay), values),
+        (WeightedPredictionRule(mu=MU, mode="average", decay=decay), values_avg),
+    ):
+        batch = rule.select_values_batch(vals)
+        assert batch.tolist() == [rule.select_values(vals[i]) for i in range(rows)]
 
 
 @given(st.integers(0, 2**32 - 1))
