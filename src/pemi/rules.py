@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .scores import ModelFn
-from .thresholds import ThresholdEngine, _gamma_array, default_gamma
+from .thresholds import ThresholdEngine, _gamma_array, _lond_levels, default_gamma
 from .types import DataSequence
 
 __all__ = [
@@ -327,20 +327,8 @@ class UncertaintyBudgetRule(CovariateRule):
 
     @staticmethod
     def _threshold(past: np.ndarray, budget: float) -> float:
-        """Smallest value tau with #{past >= tau} <= budget; +inf if none fits."""
-        if past.shape[0] == 0:
-            return math.inf
-        desc = np.sort(past)[::-1]
-        uniq, start = np.unique(-desc, return_index=True)
-        # counts of >= each distinct value, descending value order
-        values = -uniq
-        cum_counts = np.array(
-            [start[i + 1] if i + 1 < len(start) else desc.shape[0] for i in range(len(start))]
-        )
-        feasible = cum_counts <= budget
-        if not feasible.any():
-            return math.inf
-        return float(values[np.nonzero(feasible)[0][-1]])
+        """Smallest past value tau with #{past >= tau} <= budget; +inf if none fits."""
+        return min((v for v in past.tolist() if np.count_nonzero(past >= v) <= budget), default=math.inf)
 
     def select_values(self, values: np.ndarray) -> bool:
         past, v_t = values[:-1], float(values[-1])
@@ -466,8 +454,7 @@ class ConformalPValueRule(CutoffRule):
         if level is not None:
             return _pvalue_column(*_pvalue_operands(fhat, indicators, weights), T - 1) <= level
         p = weighted_pvalue_history(fhat, indicators, weights)
-        alphas = self.engine.alphas(p) if p.ndim == 1 else self.engine.alphas_batch(p)
-        return p[..., -1] <= alphas[..., -1]
+        return p[..., -1] <= self.engine.alphas(p)[..., -1]
 
 
 _COUNT_BLOCK = 4096  # entries of e-LOND's count temporary
@@ -524,31 +511,21 @@ def elond_selection_profile(
     alpha: float,
     gamma: Callable[[int], float],
 ) -> np.ndarray:
-    """Selections of the e-value procedure given both leave-one-out streams.
-
-    Supports (T,) vectors and (R, T) batches.  Step i's e-value is
-    ``1{p_plus_i <= level_plus_i} / level_minus_i`` where the two levels
-    come from discovery-count replays on the respective streams over
-    steps < i.
-    """
-    pm = np.atleast_2d(np.asarray(p_minus, dtype=float))
-    pp = np.atleast_2d(np.asarray(p_plus, dtype=float))
-    R, T = pm.shape
-    g = _gamma_array(gamma, T)
-    rej_minus = np.zeros(R, dtype=np.int64)
-    rej_plus = np.zeros(R, dtype=np.int64)
-    picked = np.zeros(R, dtype=np.int64)
-    out = np.zeros((R, T), dtype=bool)
-    for i in range(T):
-        lvl_minus = alpha * g[i] * (rej_minus + 1)
-        lvl_plus = alpha * g[i] * (rej_plus + 1)
-        evalue = (pp[:, i] <= lvl_plus) / lvl_minus
-        bar = 1.0 / (alpha * g[i] * (picked + 1))
-        out[:, i] = evalue >= bar
-        picked += out[:, i]
-        rej_minus += pm[:, i] <= lvl_minus
-        rej_plus += pp[:, i] <= lvl_plus
-    return out[0] if np.asarray(p_minus).ndim == 1 else out
+    """Selections of the e-value procedure given both leave-one-out streams,
+    along the last axis of (T,) vectors or (R, T) batches alike.  Step i's
+    e-value is ``1{p_plus_i <= level_plus_i} / level_minus_i``, each level
+    from LOND's replay ``_lond_levels`` on its stream; step i is selected when
+    it reaches ``1 / (alpha * gamma_i * (selections before i + 1))``."""
+    pm, pp = np.asarray(p_minus, dtype=float), np.asarray(p_plus, dtype=float)
+    g = _gamma_array(gamma, pm.shape[-1])
+    lvl_minus, lvl_plus = _lond_levels(pm, alpha, g), _lond_levels(pp, alpha, g)
+    evalue = (pp <= lvl_plus) / lvl_minus
+    picked = np.zeros(pm.shape[:-1], dtype=np.int64)
+    out = np.empty(pm.shape, dtype=bool)
+    for i in range(pm.shape[-1]):
+        out[..., i] = evalue[..., i] >= 1.0 / (alpha * g[i] * (picked + 1))
+        picked += out[..., i]
+    return out
 
 
 @dataclass(frozen=True)

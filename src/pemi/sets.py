@@ -29,10 +29,11 @@ def total_length(intervals: Intervals) -> float:
 
 
 def _clip(intervals: Intervals, lo: float, hi: float) -> Intervals:
+    """The pieces of ``intervals`` within [lo, hi] that hold a finite label."""
     out = []
     for a, b in intervals:
         a2, b2 = max(a, lo), min(b, hi)
-        if a2 <= b2:
+        if a2 <= b2 and a2 < math.inf and b2 > -math.inf:
             out.append((a2, b2))
     return tuple(out)
 

@@ -9,8 +9,8 @@ on permuted histories.
 
 Two engines are provided: a fixed level and the discovery-count (LOND)
 procedure, whose per-step level is ``lond_threshold`` with the summable
-``default_gamma`` weights.  Each engine has a scalar ``alphas`` and a
-row-batched ``alphas_batch``; the closed forms call the batched one.
+``default_gamma`` weights.  Each engine has one ``alphas`` for a history or
+a batch of rows; LOND's ``_lond_levels`` also sets e-LOND's two levels.
 An engine whose level at a step reads no earlier p-value says so through
 ``history_free_level``, so a caller deciding that one step computes one
 p-value instead of the whole history.
@@ -57,20 +57,27 @@ def _gamma_array(gamma: Callable[[int], float], T: int) -> np.ndarray:
     return g
 
 
+def _lond_levels(p: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
+    """Levels ``alpha * g_j * (#{i < j : p_i <= level_i} + 1)`` along the last
+    axis of ``p``: the one discovery-count replay, alike for a row or a batch."""
+    out = np.empty(p.shape)
+    d = np.zeros(p.shape[:-1], dtype=np.int64)
+    for j in range(p.shape[-1]):
+        out[..., j] = alpha * g[j] * (d + 1)
+        d += p[..., j] <= out[..., j]
+    return out
+
+
 class ThresholdEngine(abc.ABC):
     """alpha_j = G(j; p_1..p_{j-1}, theta), replayable on any history."""
 
     @abc.abstractmethod
     def alphas(self, pvals: np.ndarray) -> np.ndarray:
-        """Thresholds for steps 1..T given the p-values of those steps.
+        """Thresholds for steps 1..T of a (T,) history or each (R, T) batch row.
 
-        ``alpha_j`` may depend on ``pvals[:j-1]`` only; the j-th entry of
-        the input is never read when computing the j-th output.
+        ``alpha_j`` may depend on ``pvals[..., :j-1]`` only; the j-th entry
+        of the input is never read when computing the j-th output.
         """
-
-    @abc.abstractmethod
-    def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
-        """``alphas`` on every row of an (R, T) batch."""
 
     def history_free_level(self, T: int) -> float | None:
         """The level of step ``T`` when it reads no earlier p-value, else None.
@@ -90,10 +97,7 @@ class FixedThreshold(ThresholdEngine):
             raise ConfigurationError(f"fixed threshold must be in (0,1), got {self.q}")
 
     def alphas(self, pvals: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(pvals).shape[-1], self.q)
-
-    def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(pvals).shape, self.q)
+        return np.full(np.shape(pvals), self.q)
 
     def history_free_level(self, T: int) -> float:
         return self.q
@@ -112,20 +116,4 @@ class LondEngine(ThresholdEngine):
 
     def alphas(self, pvals: np.ndarray) -> np.ndarray:
         p = np.asarray(pvals, dtype=float)
-        g = _gamma_array(self.gamma, p.shape[0])
-        out = np.empty(p.shape[0])
-        d = 0
-        for j in range(p.shape[0]):
-            out[j] = self.alpha * g[j] * (d + 1)
-            d += int(p[j] <= out[j])
-        return out
-
-    def alphas_batch(self, pvals: np.ndarray) -> np.ndarray:
-        p = np.asarray(pvals, dtype=float)
-        g = _gamma_array(self.gamma, p.shape[1])
-        out = np.empty(p.shape)
-        d = np.zeros(p.shape[0], dtype=np.int64)
-        for j in range(p.shape[1]):
-            out[:, j] = self.alpha * g[j] * (d + 1)
-            d += p[:, j] <= out[:, j]
-        return out
+        return _lond_levels(p, self.alpha, _gamma_array(self.gamma, p.shape[-1]))

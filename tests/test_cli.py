@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pemi import experiment, fast
@@ -35,13 +36,47 @@ def test_run_subcommand(tmp_path, capsys):
     assert payload["config"]["seed"] == 11
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+INFINITE_CUTOFF = """
+T: 8
+N: 30
+M: 30
+alpha: 0.3
+seed: 1
+methods: [pemi_det]
+dataset: {data}
+rule: {{name: conformal_pvalue, q: 0.5, model: {{name: column, index: 0}}}}
+score: {{name: abs_residual, model: {{name: column, index: 0}}}}
+"""
+
+
+def _infinite_cutoff_config(tmp_path: Path) -> Path:
+    """A conformal run on a dataset whose cutoff is -inf on about a fifth of its rows."""
+    rng = np.random.default_rng(0)
+    mu = rng.normal(size=400)
+    y, c = mu + rng.normal(size=400), rng.normal(size=400)
+    c[rng.random(400) < 0.2] = -np.inf
+    data = tmp_path / "stream.csv"
+    rows = zip(mu.tolist(), y.tolist(), c.tolist())
+    data.write_text("mu_hat,y,c\n" + "".join(f"{a!r},{b!r},{d!r}\n" for a, b, d in rows))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(INFINITE_CUTOFF.format(data=data))
+    return cfg
+
+
+@pytest.mark.parametrize("config", [*CONFIGS, "infinite_cutoff"], ids=lambda p: getattr(p, "stem", p))
 def test_every_shipped_config_runs(tmp_path, config):
+    """Each run's files pass its own audit: ``pemi report`` reads its event log
+    and writes the same ``metrics.csv``."""
     out = tmp_path / "out"
-    rc = main(["run", "--config", str(config), "--N", "2", "--T", "5", "--M", "5", "--out", str(out)])
-    assert rc == 0
+    if config == "infinite_cutoff":
+        args = ["--config", str(_infinite_cutoff_config(tmp_path))]
+    else:
+        args = ["--config", str(config), "--N", "2", "--T", "5", "--M", "5"]
+    assert main(["run", *args, "--out", str(out)]) == 0
     for name in ("events.csv", "metrics.csv", "summary.json"):
         assert (out / name).exists()
+    assert main(["report", "--events", str(out / "events.csv"), "--out", str(tmp_path / "audit.csv")]) == 0
+    assert (tmp_path / "audit.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
 def test_cli_overrides_win(tmp_path):

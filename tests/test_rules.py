@@ -248,6 +248,16 @@ def test_uncertainty_budget_threshold_is_order_statistic():
     # budget floor(0.5*4) = 2 -> admit top 2 -> threshold 9
     assert rule.select_values(np.concatenate([past**2, [9.0]]))
     assert not rule.select_values(np.concatenate([past**2, [8.9]]))
+    # tied past values are admitted as a group: with past (4, 4, 1, 1, 1, 0),
+    # #{>= 4} = 2, #{>= 1} = 5 and #{>= 0} = 6
+    ties = np.array([4.0, 1.0, 4.0, 0.0, 1.0, 1.0])
+    for gamma, threshold in ((0.5, 4.0), (0.8, 4.0), (5 / 6, 1.0), (1.0, 0.0)):
+        tied = dataclasses.replace(rule, gamma=gamma)
+        rows = np.array([np.append(ties, threshold), np.append(ties, np.nextafter(threshold, -1.0))])
+        assert [tied.select_values(row) for row in rows] == [True, False]
+        assert tied.select_values_batch(rows).tolist() == [True, False]
+    # floor(0.2 * 6) = 1 admits neither tied group
+    assert not dataclasses.replace(rule, gamma=0.2).select_values(np.append(ties, 100.0))
 
 
 def test_uncertainty_budget_no_budget_early():

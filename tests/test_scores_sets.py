@@ -55,6 +55,18 @@ def test_cutoff_piecewise_set():
     assert math.isinf(CutoffPiecewiseSet(2.5, math.inf, 1.0).measure(SCORE, X))
 
 
+@pytest.mark.parametrize("q", [1.0, math.inf])
+def test_no_label_lies_beyond_an_infinite_cutoff(q):
+    # every finite label is above a cutoff of -inf and below one of +inf, so
+    # the other side's threshold (even an infinite one) adds nothing
+    for cutoff, kept in ((-math.inf, "q_above"), (math.inf, "q_below")):
+        thresholds = {"q_above": math.inf, "q_below": math.inf, kept: q}
+        s = CutoffPiecewiseSet(cutoff=cutoff, **thresholds)
+        assert s.intervals(SCORE, X) == ThresholdSet(q).intervals(SCORE, X)
+        assert s.measure(SCORE, X) == ThresholdSet(q).measure(SCORE, X)
+        assert s.contains(3.5, SCORE, X) and s.contains(3.6, SCORE, X) == math.isinf(q)
+
+
 def test_interval_union_set():
     s = IntervalUnionSet(
         breakpoints=(2.0, 3.0),

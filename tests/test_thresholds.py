@@ -43,7 +43,7 @@ def test_lond_engine_discovery_scaling():
 def test_lond_rejections_matches_engine():
     eng = LondEngine(alpha=0.3, gamma=lambda t: 0.5**t)
     rngp = np.random.default_rng(5).uniform(size=(4, 9))
-    batch = eng.alphas_batch(rngp)
+    batch = eng.alphas(rngp)
     for r in range(4):
         assert np.allclose(batch[r], eng.alphas(rngp[r]))
 
@@ -62,10 +62,10 @@ def test_engines_read_only_the_past(engine):
 
 @pytest.mark.parametrize("engine", [FixedThreshold(0.3), LondEngine(alpha=0.4)])
 def test_batch_matches_rowwise(engine):
-    """Bit for bit: the engine decides a batch of permuted rows through ``alphas_batch``."""
+    """Bit for bit: the engine decides a batch of permuted rows through the same ``alphas``."""
     for R in (5, 200):
         p = np.random.default_rng(3).uniform(size=(R, 7))
-        batch = engine.alphas_batch(p)
+        batch = engine.alphas(p)
         for r in range(R):
             assert np.array_equal(batch[r], engine.alphas(p[r]))
 
