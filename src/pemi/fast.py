@@ -28,6 +28,15 @@ verified against the generic engine by the test suite; the arithmetic
 routes through the rules' own kernels, never a copy of a rule's formula,
 so both routes see identical floating-point values.  ``_closed_form`` is
 the one place that picks the construction for a rule.
+
+The deterministic and the tie-randomized set of a step are two
+calibrations of one label-free reference, so ``_covariate_reference``
+builds it once per identity of its arguments and keeps the last one in a
+module slot.  A slot, not a reference handed in by the caller, keeps
+``covariate_set`` and ``covariate_set_randomized`` the functions that
+return the sets, with their signatures, looked up by name: replacing one
+by name still reaches every caller, and a tracer that wraps them still
+times every set.
 """
 
 from __future__ import annotations
@@ -143,6 +152,10 @@ def _taxonomy_mask(traj: np.ndarray, taxonomy: SelectionTaxonomy) -> np.ndarray:
     return traj[:, -1] & keep
 
 
+# The last label-free reference: its five arguments, held strongly so no id is reused, and its detail.
+_last_reference: tuple[tuple, CalibrationDetail] | None = None
+
+
 def _covariate_reference(
     data: DataSequence,
     rule: CovariateRule,
@@ -150,7 +163,21 @@ def _covariate_reference(
     perms: PermutationSample,
     taxonomy: SelectionTaxonomy | None,
 ) -> CalibrationDetail:
-    """The label-free reference behind the single-threshold sets."""
+    """The label-free reference behind the single-threshold sets.
+
+    Built once per identity of the five arguments, which are frozen and
+    hold read-only arrays: a call with the very objects of the last one
+    returns its detail, read-only.  The detail lives in a module slot, not
+    a parameter, so the two set constructors keep the signatures and the
+    lookup by name through which a replacement or a tracer reaches them.
+    Only a built reference is kept: a rule that does not select the
+    observed point raises on every call.
+    """
+    global _last_reference
+    key = (data, rule, score, perms, taxonomy)
+    last = _last_reference
+    if last is not None and all(a is b for a, b in zip(last[0], key)):
+        return last[1]
     values, point_scores = _observed(data, rule, score, perms)
     permuted = values[perms.matrix]
     if taxonomy is None:
@@ -159,7 +186,10 @@ def _covariate_reference(
         # trajectories are indexed by online steps: the batched replay's offline columns drop out
         traj = rule.trajectory_values_batch(permuted)[:, data.n_offline :]
         sel = _taxonomy_mask(traj, taxonomy)
-    return _calibration(point_scores, perms, sel)
+    detail = _calibration(point_scores, perms, sel)
+    detail.moved_scores.setflags(write=False)
+    _last_reference = (key, detail)
+    return detail
 
 
 def covariate_set(

@@ -251,12 +251,16 @@ class DecisionDrivenRule(CovariateRule):
         return selected
 
     def trajectory_values_batch(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(values.shape, dtype=bool)
-        picked = np.zeros(values.shape[0])
-        for j in range(values.shape[1]):
-            out[:, j] = values[:, j] >= self.tau1 + picked / self.tau0
-            picked += out[:, j]
-        return out
+        # bars[k] = tau1 + k / tau0 takes the scalar loop's operations, so an
+        # integer pick count only indexes it; the walk runs over slot-major columns.
+        cols = np.ascontiguousarray(values.T)
+        bars = self.tau1 + np.arange(cols.shape[0]) / self.tau0
+        out = np.empty(cols.shape, dtype=bool)
+        picked = np.zeros(cols.shape[1], dtype=np.intp)
+        for j in range(cols.shape[0]):
+            np.greater_equal(cols[j], bars[picked], out=out[j])
+            picked += out[j]
+        return out.T
 
 
 @dataclass(frozen=True)

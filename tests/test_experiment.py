@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -98,6 +99,35 @@ def test_decision_driven_run_and_fcr():
     result = run_experiment(cfg)
     (fcr,) = result.fcr
     assert 0.0 <= fcr.fcr <= 1.0
+
+
+@pytest.mark.parametrize(
+    "methods, taxonomy_fcr",
+    [
+        (("pemi_det", "pemi_rand"), False),
+        (("pemi_det", "pemi_rand"), True),
+        (("pemi_det", "oracle", "pemi_rand"), False),  # the oracle's reference evicts the shared one
+    ],
+)
+def test_methods_sharing_a_reference_log_what_they_log_apart(monkeypatch, methods, taxonomy_fcr):
+    """pemi_det and pemi_rand calibrate one reference per step, and each
+    method's events equal those of a run with that method alone."""
+    cfg = functools.partial(
+        _tiny_config,
+        T=6,
+        N=4,
+        M=20,
+        rule={"name": "decision_driven", "tau0": 3, "tau1": 0.0, "model": {"name": "true_mean"}},
+        taxonomy_fcr=taxonomy_fcr,
+    )
+    built = []
+    observed = fast._observed
+    monkeypatch.setattr(fast, "_observed", lambda *args: built.append(args) or observed(*args))
+    together = run_experiment(cfg(methods=methods)).events
+    steps = sum(e.method == "pemi_det" for e in together)
+    assert steps and len(built) == steps * (3 if "oracle" in methods else 1)
+    for m in methods:
+        assert [e for e in together if e.method == m] == run_experiment(cfg(methods=(m,))).events
 
 
 def test_byte_identical_reruns(tmp_path):

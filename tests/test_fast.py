@@ -49,10 +49,37 @@ def test_rank_arithmetic_examples():
 
 
 def test_covariate_set_requires_selection(rng, residual_score):
+    """On every call: a failed reference is not kept for the next one."""
     data = make_sequence(rng, t=4)
     perms = sample_permutations(4, 6, seed=0)
-    with pytest.raises(PreconditionError):
-        fast.covariate_set(data, NeverSelectRule(), residual_score, perms, 0.4)
+    rule = NeverSelectRule()
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            fast.covariate_set(data, rule, residual_score, perms, 0.4)
+        with pytest.raises(PreconditionError):
+            fast.covariate_set_randomized(data, rule, residual_score, perms, 0.4, 0.5)
+
+
+def test_covariate_reference_is_built_once_per_argument_identity(rng, residual_score, monkeypatch):
+    """The deterministic and randomized sets of one step calibrate one
+    reference; an equal but distinct sequence or sample builds it again."""
+    data = make_sequence(rng, t=6)
+    rule = DecisionDrivenRule(tau0=6.0, tau1=-10.0, mu=MU)
+    perms = sample_permutations(6, 20, seed=3)
+    built = []
+    observed = fast._observed
+    monkeypatch.setattr(fast, "_observed", lambda *args: built.append(args) or observed(*args))
+    det = fast.covariate_set(data, rule, residual_score, perms, 0.3)
+    rand = fast.covariate_set_randomized(data, rule, residual_score, perms, 0.3, 0.5)
+    assert len(built) == 1
+    assert not fast._covariate_reference(data, rule, residual_score, perms, None).moved_scores.flags.writeable
+    twin_data = dataclasses.replace(data)
+    twin_perms = sample_permutations(6, 20, seed=3)
+    assert np.array_equal(twin_data.full_x(), data.full_x()) and np.array_equal(twin_perms.matrix, perms.matrix)
+    for d, p in ((twin_data, perms), (data, twin_perms)):
+        assert fast.covariate_set(d, rule, residual_score, p, 0.3) == det
+        assert fast.covariate_set_randomized(d, rule, residual_score, p, 0.3, 0.5) == rand
+    assert len(built) == 3
 
 
 def test_covariate_set_m0_is_everything(rng, residual_score):

@@ -504,3 +504,14 @@ def test_covariate_batch_matches_scalar(seed):
         for r in range(vals.shape[0]):
             assert batch[r] == rule.select_values(vals[r])
             assert traj[r].tolist() == [rule.select_values(vals[r, : j + 1]) for j in range(t)]
+    # closed-form-sized rows (M=200, T up to 60) whose values sit exactly on the
+    # decision-driven bars tau1 + k / tau0, slot j on the bar of a pick count in 0..j
+    rule = DecisionDrivenRule(tau0=float(rng.uniform(0.5, 50.0)), tau1=float(rng.normal()), mu=MU)
+    t = int(rng.integers(1, 61))
+    bars = np.array([rule.tau1 + k / rule.tau0 for k in range(t)])
+    on_bars = bars[(rng.random((200, t)) * np.arange(1, t + 1)).astype(int)]
+    batch = rule.select_values_batch(on_bars)
+    traj = rule.trajectory_values_batch(on_bars)
+    for r in range(on_bars.shape[0]):
+        assert batch[r] == rule.select_values(on_bars[r])
+        assert traj[r].tolist() == [rule.select_values(on_bars[r, : j + 1]) for j in range(t)]

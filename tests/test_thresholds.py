@@ -40,14 +40,6 @@ def test_lond_engine_discovery_scaling():
     assert a[3] == pytest.approx(0.4 * 0.0625 * 3)
 
 
-def test_lond_rejections_matches_engine():
-    eng = LondEngine(alpha=0.3, gamma=lambda t: 0.5**t)
-    rngp = np.random.default_rng(5).uniform(size=(4, 9))
-    batch = eng.alphas(rngp)
-    for r in range(4):
-        assert np.allclose(batch[r], eng.alphas(rngp[r]))
-
-
 @pytest.mark.parametrize("engine", [FixedThreshold(0.3), LondEngine(alpha=0.4)])
 def test_engines_read_only_the_past(engine):
     """alpha_j may depend on p_1..p_{j-1} only."""
