@@ -43,6 +43,7 @@ from .rules import (
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
+    recency_weights,
 )
 from .scores import AbsoluteResidualScore, LastPointScore, fit_linear_model
 from .sets import ThresholdSet
@@ -166,187 +167,172 @@ class CutoffScoreFromModel:
         return np.asarray(self.mu(X), dtype=float) - np.asarray(c, dtype=float)
 
 
-def _no_options_left(spec: dict, what: str) -> None:
-    if spec:
-        raise ConfigurationError(f"unknown options for {what}: {sorted(spec)}")
-
-
 _REQUIRED = object()
 
 
-def _number(spec: dict, key: str, default: Any = _REQUIRED, kind: type = float):
-    """Pop option ``key`` from ``spec`` as a finite ``kind``.
+class _Options:
+    """One config section's options, each popped once as it is read: as
+    a finite number (integral for an integer option) or as a model built
+    through ``_MODELS``.  ``done`` rejects any option left unread."""
 
-    A required option that is absent raises ``KeyError``; a ``None``
-    default leaves an absent or null option off.  A value that does not
-    convert, a bool, or a non-finite value is a ``ConfigurationError``
-    naming the option.
-    """
-    raw = spec.pop(key) if default is _REQUIRED else spec.pop(key, default)
-    if raw is None and default is None:
-        return None
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError):  # int() of nan or inf included
-        value = None
-    if value is None or isinstance(raw, bool) or (kind is float and not math.isfinite(value)):
-        raise ConfigurationError(f"option {key!r} must be a finite number, got {raw!r}")
-    return value
+    def __init__(self, spec: dict, what: str, gen: GeneratorConfig | None, stream: StreamData | None):
+        self.spec, self.what, self.gen, self.stream = dict(spec), what, gen, stream
+
+    def pop(self, key: str, default: Any = _REQUIRED) -> Any:
+        if key in self.spec:
+            return self.spec.pop(key)
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{self.what} is missing option {key!r}")
+        return default
+
+    def number(self, key: str, default: Any = _REQUIRED, integer: bool = False) -> Any:
+        raw = self.pop(key, default)
+        if raw is default:  # absent, or the default itself: a None default leaves a null option off
+            return raw
+        try:
+            value = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if isinstance(raw, bool) or not math.isfinite(value):
+            raise ConfigurationError(f"option {key!r} must be a finite number, got {raw!r}")
+        if integer and not value.is_integer():
+            raise ConfigurationError(f"option {key!r} must be an integer, got {raw!r}")
+        return value if not integer else int(raw) if isinstance(raw, Integral) else int(value)
+
+    def model(self, key: str = "model") -> Any:
+        return self.model_of(self.pop(key, None))
+
+    def model_of(self, spec: Any) -> Any:
+        """An absent or empty spec is a generator's true mean or a dataset's first column."""
+        if spec in (None, {}):
+            spec = {"name": "true_mean" if self.gen is not None else "column"}
+        return _build(_MODELS, spec, "model", self.gen, self.stream)
+
+    def generator(self) -> GeneratorConfig:
+        if self.gen is None:
+            raise ConfigurationError(f"{self.what} needs a generator run")
+        return self.gen
+
+    def done(self, built: Any = None) -> Any:
+        if self.spec:
+            raise ConfigurationError(f"unknown options for {self.what}: {sorted(self.spec)}")
+        return built
+
+
+def _build(table: dict, spec: Any, section: str, gen, stream, default: Any = _REQUIRED) -> Any:
+    """The entry of ``table`` that ``spec`` names, built from the spec's other options."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a {section} spec must be a mapping, got {spec!r}")
+    opts = _Options(spec, section, gen, stream)
+    name = opts.pop("name", default)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigurationError(f"unknown {section} {name!r}")
+    opts.what = f"{section} {name!r}"
+    return opts.done(table[name](opts))
+
+
+def _column_model(o: _Options) -> ColumnModel:
+    idx = o.number("index", 0, integer=True)
+    dim = o.stream.X.shape[1] if o.stream is not None else feature_dim(o.gen)
+    if not -dim <= idx < dim:
+        raise ConfigurationError(f"model column {idx} outside the {dim} feature columns")
+    return ColumnModel(idx)
+
+
+def _linear_fit_model(o: _Options):
+    gen = o.generator()
+    train_n = o.number("train_n", 500, integer=True)
+    train_seed = o.number("train_seed", 1, integer=True)
+    n_coef = feature_dim(gen) + 1
+    if train_n < n_coef:
+        raise ConfigurationError(
+            f"option 'train_n' must be >= {n_coef}, one row per fitted coefficient, got {train_n}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence((train_seed, 88261)))
+    return fit_linear_model(*generate(gen, train_n, rng))
+
+
+_MODELS = {
+    "true_mean": lambda o: TrueMeanModel(o.generator()),
+    "column": _column_model,
+    "linear_fit": _linear_fit_model,
+}
+
+
+def _uncertainty_budget(o: _Options) -> UncertaintyBudgetRule:
+    specs = o.pop("models")
+    if not isinstance(specs, list):
+        raise ConfigurationError(f"option 'models' must be a list, got {specs!r}")
+    return UncertaintyBudgetRule(models=tuple(o.model_of(s) for s in specs), gamma=o.number("gamma"))
+
+
+def _conformal_pvalue(o: _Options) -> ConformalPValueRule:
+    engine = FixedThreshold(o.number("q")) if "q" in o.spec else LondEngine(o.number("test_alpha", 0.1))
+    return ConformalPValueRule(CutoffScoreFromModel(o.model()), engine, o.number("decay", None))
+
+
+_RULES = {
+    "always": lambda o: AlwaysSelectRule(),
+    "decision_driven": lambda o: DecisionDrivenRule(
+        tau0=o.number("tau0"), tau1=o.number("tau1"), mu=o.model()
+    ),
+    "weighted_quantile": lambda o: WeightedPredictionRule(
+        mu=o.model(), q_sel=o.number("q_sel", 0.1), decay=o.number("decay", None)
+    ),
+    "weighted_average": lambda o: WeightedPredictionRule(
+        mu=o.model(), mode="average", decay=o.number("decay", None)
+    ),
+    "uncertainty_budget": _uncertainty_budget,
+    "conformal_pvalue": _conformal_pvalue,
+    "elond": lambda o: ELondRule(
+        f_score=CutoffScoreFromModel(o.model()), alpha=o.number("test_alpha", 0.1)
+    ),
+    "earlier_outcome": lambda o: EarlierOutcomeRule(
+        mu=o.model(), beta_sel=o.number("beta_sel"), decay=o.number("decay", None)
+    ),
+}
+
+_SCORES = {"abs_residual": lambda o: AbsoluteResidualScore(model=o.model())}
 
 
 def _resolve_generator(spec: dict) -> GeneratorConfig:
-    spec = dict(spec)
-    setting = {"setting": spec.pop("setting")} if "setting" in spec else {}
+    o = _Options(spec, "generator", None, None)
+    setting = {"setting": o.pop("setting")} if "setting" in o.spec else {}
     # every other generator option is a number
-    numbers = {
-        f.name: _number(spec, f.name) for f in dataclasses.fields(GeneratorConfig) if f.name in spec
-    }
-    _no_options_left(spec, "generator")
-    return GeneratorConfig(**setting, **numbers)
-
-
-def _resolve_model(spec: dict | None, gen: GeneratorConfig | None, stream: StreamData | None):
-    if spec is not None and not isinstance(spec, dict):
-        raise ConfigurationError(f"a model spec must be a mapping, got {spec!r}")
-    spec = dict(spec or {"name": "true_mean" if gen is not None else "column"})
-    name = spec.pop("name", None)
-    if name == "true_mean":
-        if gen is None:
-            raise ConfigurationError("true_mean model needs a generator run")
-        _no_options_left(spec, "model 'true_mean'")
-        return TrueMeanModel(gen)
-    if name == "column":
-        idx = _number(spec, "index", 0, kind=int)
-        _no_options_left(spec, "model 'column'")
-        dim = stream.X.shape[1] if stream is not None else feature_dim(gen)
-        if not -dim <= idx < dim:
-            raise ConfigurationError(f"model column {idx} outside the {dim} feature columns")
-        return ColumnModel(idx)
-    if name == "linear_fit":
-        if gen is None:
-            raise ConfigurationError("linear_fit model needs a generator run")
-        train_n = _number(spec, "train_n", 500, kind=int)
-        train_seed = _number(spec, "train_seed", 1, kind=int)
-        _no_options_left(spec, "model 'linear_fit'")
-        n_coef = feature_dim(gen) + 1
-        if train_n < n_coef:
-            raise ConfigurationError(
-                f"option 'train_n' must be >= {n_coef}, one row per fitted coefficient, got {train_n}"
-            )
-        rng = np.random.default_rng(np.random.SeedSequence((train_seed, 88261)))
-        X, Y = generate(gen, train_n, rng)
-        return fit_linear_model(X, Y)
-    raise ConfigurationError(f"unknown model {name!r}")
-
-
-def _resolve_rule(
-    spec: dict, gen: GeneratorConfig | None, stream: StreamData | None
-) -> SelectionRule:
-    spec = dict(spec)
-    try:
-        name = spec.pop("name")
-    except KeyError:
-        raise ConfigurationError("rule spec needs a 'name'") from None
-
-    def model(key: str = "model"):
-        return _resolve_model(spec.pop(key, None), gen, stream)
-
-    def done(rule: SelectionRule) -> SelectionRule:
-        _no_options_left(spec, f"rule {name!r}")
-        return rule
-
-    try:
-        if name == "always":
-            return done(AlwaysSelectRule())
-        if name == "decision_driven":
-            return done(
-                DecisionDrivenRule(
-                    tau0=_number(spec, "tau0"), tau1=_number(spec, "tau1"), mu=model()
-                )
-            )
-        if name in ("weighted_quantile", "weighted_average"):
-            mode = "quantile" if name == "weighted_quantile" else "average"
-            return done(
-                WeightedPredictionRule(
-                    mu=model(),
-                    mode=mode,
-                    q_sel=_number(spec, "q_sel", 0.1),
-                    decay=_number(spec, "decay", None),
-                )
-            )
-        if name == "uncertainty_budget":
-            specs = spec.pop("models")
-            if not isinstance(specs, list):
-                raise ConfigurationError(f"option 'models' must be a list, got {specs!r}")
-            models = tuple(_resolve_model(s, gen, stream) for s in specs)
-            return done(UncertaintyBudgetRule(models=models, gamma=_number(spec, "gamma")))
-        if name == "conformal_pvalue":
-            if "q" in spec:
-                engine = FixedThreshold(_number(spec, "q"))
-            else:
-                engine = LondEngine(alpha=_number(spec, "test_alpha", 0.1))
-            return done(
-                ConformalPValueRule(
-                    f_score=CutoffScoreFromModel(model()),
-                    engine=engine,
-                    decay=_number(spec, "decay", None),
-                )
-            )
-        if name == "elond":
-            return done(
-                ELondRule(
-                    f_score=CutoffScoreFromModel(model()),
-                    alpha=_number(spec, "test_alpha", 0.1),
-                )
-            )
-        if name == "earlier_outcome":
-            return done(
-                EarlierOutcomeRule(
-                    mu=model(),
-                    beta_sel=_number(spec, "beta_sel"),
-                    decay=_number(spec, "decay", None),
-                )
-            )
-    except KeyError as err:
-        raise ConfigurationError(f"rule {name!r} is missing option {err}") from None
-    raise ConfigurationError(f"unknown rule {name!r}")
-
-
-def _resolve_score(
-    spec: dict, gen: GeneratorConfig | None, stream: StreamData | None
-) -> LastPointScore:
-    spec = dict(spec)
-    name = spec.pop("name", "abs_residual")
-    if name == "abs_residual":
-        model = _resolve_model(spec.pop("model", None), gen, stream)
-        _no_options_left(spec, f"score {name!r}")
-        return AbsoluteResidualScore(model=model)
-    raise ConfigurationError(f"unknown score {name!r}")
+    numbers = {f.name: o.number(f.name) for f in dataclasses.fields(GeneratorConfig) if f.name in o.spec}
+    return o.done(GeneratorConfig(**setting, **numbers))
 
 
 def _resolve_cutoff(spec: dict | None, gen: GeneratorConfig | None) -> float | None:
     if spec is None:
         return None
-    spec = dict(spec)
+    o = _Options(spec, "cutoff", gen, None)
     if "value" in spec:
-        value = _number(spec, "value")
-        _no_options_left(spec, "cutoff 'value'")
-        return value
+        return o.done(o.number("value"))
     if "quantile" not in spec:
         raise ConfigurationError("cutoff needs a 'value' or a 'quantile'")
     if gen is None:
         raise ConfigurationError("cutoff quantile needs a generator run (datasets carry a c column)")
-    q = _number(spec, "quantile")
-    sample_n = _number(spec, "sample_n", 2000, kind=int)
-    seed = _number(spec, "seed", 7, kind=int)
-    _no_options_left(spec, "cutoff 'quantile'")
+    q = o.number("quantile")
+    sample_n = o.number("sample_n", 2000, integer=True)
+    seed = o.number("seed", 7, integer=True)
+    o.done()
     if not 0 <= q <= 1:
         raise ConfigurationError(f"option 'quantile' must be in [0, 1], got {q}")
     if sample_n < 1:
         raise ConfigurationError(f"option 'sample_n' must be >= 1, got {sample_n}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 55117)))
-    _, Y = generate(gen, sample_n, rng)
-    return float(np.quantile(Y, q))
+    return float(np.quantile(generate(gen, sample_n, rng)[1], q))
+
+
+def _lond_reaches_floor(rule: ConformalPValueRule, T: int) -> bool:
+    """Whether some step t <= T has a LOND level ``alpha * gamma_t * t`` (every
+    earlier step a discovery) at or above the last p-value's floor ``w_t / sum(w)``."""
+    lond = rule.engine
+    return any(
+        lond.alpha * lond.gamma(t) * t >= 1 / np.cumsum(recency_weights(t, rule.decay))[-1]
+        for t in range(1, T + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -362,9 +348,13 @@ class ResolvedExperiment:
 def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     gen = _resolve_generator(config.generator) if config.generator is not None else None
     stream = load_dataset(config.dataset) if config.dataset is not None else None
-    rule = _resolve_rule(config.rule, gen, stream)
-    score = _resolve_score(config.score, gen, stream)
+    rule = _build(_RULES, config.rule, "rule", gen, stream)
+    score = _build(_SCORES, config.score, "score", gen, stream, default="abs_residual")
     cutoff_value = _resolve_cutoff(config.cutoff, gen)
+    if isinstance(getattr(rule, "engine", None), LondEngine) and not _lond_reaches_floor(rule, config.T):
+        raise ConfigurationError(
+            "this LOND rule never selects: test_alpha * gamma(t) * t < 1 / sum(weights) at every t <= T"
+        )
     if rule.needs_cutoffs and cutoff_value is None and (stream is None or stream.cutoffs is None):
         raise ConfigurationError("this rule needs cutoffs: configure 'cutoff' or provide a c column")
     if rule.needs_offline and config.offline_n < 1:

@@ -66,14 +66,16 @@ def recency_weights(n: int, decay: float | None) -> np.ndarray:
     magnitudes bounded.  The result is read-only and shared between calls
     with equal ``(n, decay)``.
     """
-    if decay is None:
-        w = np.ones(n)
-    else:
-        if decay <= 0:
-            raise ConfigurationError(f"decay must be positive, got {decay}")
-        w = decay ** np.arange(n - 1, -1, -1, dtype=float)
+    _check_decay(decay)
+    w = np.ones(n) if decay is None else decay ** np.arange(n - 1, -1, -1, dtype=float)
     w.setflags(write=False)
     return w
+
+
+def _check_decay(decay: float | None) -> None:
+    """The one check of a recency decay, made where a rule is built and where weights are."""
+    if decay is not None and not decay > 0:
+        raise ConfigurationError(f"decay must be positive, got {decay}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -282,6 +284,7 @@ class WeightedPredictionRule(CovariateRule):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.mode == "quantile" and not 0 < self.q_sel < 1:
             raise ConfigurationError(f"q_sel must be in (0,1), got {self.q_sel}")
+        _check_decay(self.decay)
 
     def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(self.mu(X), dtype=float)
@@ -449,6 +452,9 @@ class ConformalPValueRule(CutoffRule):
 
     online_only: ClassVar[bool] = True
 
+    def __post_init__(self) -> None:
+        _check_decay(self.decay)
+
     def selects_last(self, fhat: np.ndarray, indicators: np.ndarray, n_offline: int) -> np.ndarray:
         """When the engine's last level does not read the earlier p-values,
         only the last p-value is computed."""
@@ -549,6 +555,7 @@ class EarlierOutcomeRule(SelectionRule):
     def __post_init__(self) -> None:
         if not 0 < self.beta_sel < 1:
             raise ConfigurationError(f"beta_sel must be in (0,1), got {self.beta_sel}")
+        _check_decay(self.decay)
 
     def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(self.mu(X), dtype=float)

@@ -101,12 +101,12 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
 
 
 def test_a_method_that_issues_no_set_is_warned_about(tmp_path, capsys):
-    # LOND at its default gamma selects no step here: p_1 = 1 and the level stays far below 1/t
+    # a bar above every prediction: the rule can select but selects no step
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         CONFIG.replace("T: 4\nN: 2", "T: 60\nN: 3").replace("M: 5", "M: 50").replace(
             "rule: {name: always}",
-            "rule: {name: conformal_pvalue, model: {name: true_mean}}\ncutoff: {quantile: 0.7}",
+            "rule: {name: decision_driven, tau0: 10, tau1: 100.0, model: {name: true_mean}}",
         )
     )
     out = tmp_path / "none"
@@ -189,6 +189,7 @@ def test_non_finite_dataset_cell_is_a_data_error(tmp_path, capsys, bad_row):
         "cutoff: {value: 1.0, quantile: 0.3}",
         "cutoff: {quantile: 0.3, sampel_n: 10}",
         "score: {name: abs_residual, model: {name: true_mean}, scale: 2}",
+        "rule: {name: weighted_average, q_sel: 0.3}",
     ],
 )
 def test_unknown_or_missing_option_is_a_config_error(tmp_path, capsys, entry):
@@ -256,12 +257,20 @@ def test_offline_block_for_an_online_only_rule_fails_before_any_replication(
         ("methods: []", "'methods'"),
         ("workers: 0", "'workers'"),
         ("workers: -3", "'workers'"),
+        ("score: {name: abs_residual, model: {name: column, index: 0.9}}", "'index'"),
+        ("score: {name: abs_residual, model: {name: linear_fit, train_n: 10.9}}", "'train_n'"),
+        ("score: {name: abs_residual, model: {name: linear_fit, train_seed: 1.5}}", "'train_seed'"),
+        ("cutoff: {quantile: 0.5, sample_n: 10.5}", "'sample_n'"),
+        ("cutoff: {quantile: 0.5, seed: 3.7}", "'seed'"),
+        ("rule: {name: weighted_quantile, decay: 0}\nT: 1", "decay must be positive"),
+        ("rule: {name: conformal_pvalue}\ncutoff: {quantile: 0.7}", "LOND rule never selects"),
     ],
 )
-def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, entry, named):
+def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, monkeypatch, entry, named):
+    monkeypatch.setattr(experiment, "_run_replication", lambda *args: pytest.fail("a replication ran"))
     cfg = tmp_path / "cfg.yaml"
-    key = entry.split(":")[0]
-    lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key}:")]
+    keys = tuple(f"{line.split(':')[0]}:" for line in entry.splitlines())
+    lines = [line for line in CONFIG.splitlines() if not line.startswith(keys)]
     cfg.write_text("\n".join(lines + [entry]) + "\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

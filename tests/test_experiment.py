@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -6,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from pemi import experiment, fast
-from pemi.crosscheck import GeometricGamma
+from pemi.cli import main
 from pemi.errors import ConfigurationError
 from pemi.experiment import (
     ExperimentConfig,
@@ -18,9 +18,10 @@ from pemi.experiment import (
     vanilla_set,
     write_outputs,
 )
+from pemi.engine import pemi_set_grid
 from pemi.oracle import all_orders_sample
-from pemi.rules import SelectionTaxonomy
-from pemi.thresholds import LondEngine
+from pemi.permutations import sample_permutations
+from pemi.rules import CovariateRule, SelectionTaxonomy
 from pemi.types import DataSequence
 
 from conftest import prefix
@@ -239,7 +240,7 @@ FAMILY_CONFIGS = {
         {"cutoff": {"quantile": 0.7}},
     ),
     "conformal_lond": (
-        {"name": "conformal_pvalue", "test_alpha": 0.9, "decay": 0.99, "model": TRUE_MEAN},
+        {"name": "conformal_pvalue", "test_alpha": 0.9, "decay": 2.0, "model": TRUE_MEAN},
         {"cutoff": {"quantile": 0.7}},
     ),
     "elond": (
@@ -256,9 +257,6 @@ def test_observed_trajectory_evaluates_the_model_once_and_decides_like_the_rule(
     generator = {"setting": "nonlinear_1d", "sigma": 1.0, "offset": 5.0}
     cfg = _tiny_config(T=25, N=1, rule=rule_spec, generator=generator, methods=("pemi_det",), **extra)
     res = resolve_experiment(cfg)
-    if family == "conformal_lond":  # the default gamma selects nothing at T = 25
-        lond = LondEngine(alpha=0.9, gamma=GeometricGamma(0.8))
-        res = dataclasses.replace(res, rule=dataclasses.replace(res.rule, engine=lond))
     X, Y, cuts = experiment._stream_for_rep(res, 0, np.random.default_rng(5))
     calls = []
     point_values = type(res.rule).point_values
@@ -278,6 +276,84 @@ def test_observed_trajectory_evaluates_the_model_once_and_decides_like_the_rule(
     assert tuple(int(v) for v in traj) == res.rule.trajectory(seq)
     # each step decided on its own prefix, with the model evaluated on that prefix alone
     assert traj.tolist() == [res.rule.select(prefix(seq, i)) for i in range(1, cfg.T + 1)]
+
+
+def test_the_config_examples_name_every_rule_in_the_table():
+    assert sorted({spec["name"] for spec, _ in FAMILY_CONFIGS.values()}) == sorted(experiment._RULES)
+
+
+def _example_config(family: str) -> ExperimentConfig:
+    rule_spec, extra = FAMILY_CONFIGS[family]
+    generator = {"setting": "nonlinear_1d", "sigma": 1.0, "offset": 5.0}
+    return _tiny_config(T=12, N=1, M=30, rule=rule_spec, generator=generator, methods=("pemi_det",), **extra)
+
+
+def _closed_form_is_the_engine(res, data, perms, alpha, u, y_obs) -> bool:
+    """Whether the closed-form set and the generic engine agree on a label
+    grid around the labels and on every finite end of the set's intervals,
+    its cutoff and its breakpoints."""
+    dset = fast._closed_form(data, res.rule, res.score, perms, alpha, u)
+    ends = [b for piece in dset.intervals(res.score, data.test_x) for b in piece]
+    ends += [getattr(dset, "cutoff", math.inf), *getattr(dset, "breakpoints", ())]
+    bounds = [b for b in ends if math.isfinite(b)]
+    anchor = [*data.y.tolist(), y_obs, *bounds]
+    grid = np.union1d(np.linspace(min(anchor) - 2, max(anchor) + 2, 41), bounds)
+    want = pemi_set_grid(grid, data, res.rule, res.score, perms, alpha, u=u)
+    return [dset.contains(float(y), res.score, data.test_x) for y in grid] == want.tolist()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+def test_every_config_rule_has_a_closed_form_equal_to_the_engine(family):
+    """On the first selected steps of each example, for sampled and (at
+    small t) all-orderings references; label-free rules also with a
+    tie-breaking uniform."""
+    cfg = _example_config(family)
+    res = resolve_experiment(cfg)
+    uniforms = (None, 0.37) if isinstance(res.rule, CovariateRule) else (None,)
+    checked = 0
+    for seed in range(4):
+        X, Y, cuts = experiment._stream_for_rep(res, 0, np.random.default_rng(seed))
+        traj = experiment._observed_trajectory(res, X, Y, cuts)
+        for t in [t for t in range(1, cfg.T + 1) if traj[t - 1]][:5]:
+            data = experiment._data_at(res, X, Y, cuts, t)
+            refs = [sample_permutations(t, cfg.M, seed=seed * 100 + t, n_offline=cfg.offline_n)]
+            if data.n_slots <= 5:
+                refs.append(all_orders_sample(data.n_slots, 1 - cfg.offline_n, skip_identity=True))
+            for perms in refs:
+                for u in uniforms:
+                    y_obs = float(Y[cfg.offline_n + t - 1])
+                    assert _closed_form_is_the_engine(res, data, perms, cfg.alpha, u, y_obs), (seed, t, u)
+                    checked += 1
+    assert checked, "the example selects no step"
+
+
+# options a section cannot do without; every other one has a default
+REQUIRED_OPTIONS = {"name", "tau0", "tau1", "models", "gamma", "beta_sel", "quantile"}
+
+
+def _mutations(section: dict):
+    """``section`` with an unknown option, each option set to a string, NaN
+    or infinity, and each required option dropped."""
+    yield {**section, "bogus": 1}
+    for key in section:
+        for value in ("abc", math.nan, math.inf):
+            yield {**section, key: value}
+        if key in REQUIRED_OPTIONS:
+            yield {k: v for k, v in section.items() if k != key}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+def test_every_mutated_config_option_is_one_config_error(tmp_path, capsys, monkeypatch, family):
+    monkeypatch.setattr(experiment, "_run_replication", lambda *args: pytest.fail("a replication ran"))
+    raw = _example_config(family).to_dict()
+    cases = [(key, bad) for key in ("rule", "cutoff") if raw[key] for bad in _mutations(raw[key])]
+    assert len(cases) >= 5
+    cfg = tmp_path / "cfg.yaml"
+    for key, bad in cases:
+        cfg.write_text(yaml.safe_dump({**raw, key: bad}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, (key, bad)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), (key, bad, lines)
 
 
 def test_elond_rule_end_to_end():

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from pemi import experiment
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -9,3 +11,14 @@ def test_library_tour_runs_as_written(capsys):
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def _table_names(header: str) -> list[str]:
+    """The first-column names of the README table whose first header cell is ``header``."""
+    table = README.read_text(encoding="utf-8").split(f"| {header} |", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|", table, re.M)
+
+
+def test_the_config_tables_name_what_a_config_can_reach():
+    assert _table_names("rule") == list(experiment._RULES)
+    assert _table_names("model") == list(experiment._MODELS)

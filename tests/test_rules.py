@@ -167,6 +167,40 @@ def test_weighted_pvalue_history_examples():
     assert p2[-1] == pytest.approx(1 / 3)
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.one_of(st.none(), st.floats(0.05, 3.0)),
+    st.booleans(),
+)
+def test_last_pvalue_is_at_least_one_over_the_total_weight(seed, n, decay, ties):
+    """The floor a LOND config is checked against: p_n >= w_n / sum(w) =
+    1 / sum(w), reached when the last score is the row's strict maximum."""
+    rng = np.random.default_rng(seed)
+    fhat = rng.integers(-2, 3, size=(5, n)).astype(float) if ties else rng.normal(size=(5, n))
+    ind = (rng.random((5, n)) < 0.7).astype(float)
+    w = recency_weights(n, decay)
+    floor = 1 / np.cumsum(w)[-1]  # the total as the p-value's denominator accumulates it
+    assert (weighted_pvalue_history(fhat, ind, w)[:, -1] >= floor).all()
+    fhat[:, -1] = fhat.max() + 1
+    assert (weighted_pvalue_history(fhat, ind, w)[:, -1] == floor).all()
+
+
+@pytest.mark.parametrize("decay", [0.0, -0.5, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda decay: WeightedPredictionRule(mu=MU, decay=decay),
+        lambda decay: ConformalPValueRule(f_score=cutoff_score, engine=FixedThreshold(0.5), decay=decay),
+        lambda decay: EarlierOutcomeRule(mu=MU, beta_sel=0.5, decay=decay),
+    ],
+    ids=["weighted", "conformal", "earlier_outcome"],
+)
+def test_a_decay_that_is_not_positive_is_rejected_when_the_rule_is_built(build, decay):
+    with pytest.raises(ConfigurationError, match="decay must be positive"):
+        build(decay)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_fixed_threshold_rule_matches_direct_count(seed):
     rng = np.random.default_rng(seed)
