@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--T", type=int, dest="T")
     run.add_argument("--N", type=int, dest="N")
     run.add_argument("--rule", help="rule name override (keeps other rule options)")
-    run.add_argument("--score", help="score name override")
     run.add_argument("--method", action="append", dest="methods", help="repeatable")
     run.add_argument("--out", help="output directory")
 
@@ -87,12 +86,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raw[key] = val
     if args.methods:
         raw["methods"] = args.methods
-    for key, name in (("rule", args.rule), ("score", args.score)):
-        if name:
-            spec = raw.get(key, {})
-            if not isinstance(spec, dict):
-                raise ConfigurationError(f"config key {key!r} has the wrong type: {spec!r}")
-            raw[key] = {**spec, "name": name}
+    if args.rule:
+        spec = raw.get("rule", {})
+        if not isinstance(spec, dict):
+            raise ConfigurationError(f"config key 'rule' has the wrong type: {spec!r}")
+        raw["rule"] = {**spec, "name": args.rule}
     return ExperimentConfig.from_dict(raw)
 
 

@@ -84,17 +84,15 @@ def reference_mask(
     The values are computed once per call (``rule.replay``).  Without a
     taxonomy, one gather of every row's arguments goes to one
     ``rule.decide_rows`` call; with one, each row replays
-    ``rule.decide_trajectory`` under its order.
+    ``rule.decide_trajectory`` under its order and ``taxonomy.mask``
+    keeps the stacked trajectories it admits.
     """
     _check_domain(data, perms)
     arguments = rule.replay(data, y)
     if taxonomy is None:
         return rule.decide_rows(*arguments(perms.matrix))
-    out = np.zeros(perms.m, dtype=bool)
-    for i, order in enumerate(perms.matrix):
-        traj = rule.decide_trajectory(*arguments(order))
-        out[i] = traj[-1] == 1 and taxonomy.contains(traj)
-    return out
+    traj = [rule.decide_trajectory(*arguments(order)) for order in perms.matrix]
+    return taxonomy.mask(np.array(traj, dtype=bool).reshape(perms.m, data.t))
 
 
 def _scores_for(

@@ -16,12 +16,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -58,10 +57,7 @@ __all__ = [
     "write_outputs",
     "recompute_metrics",
     "vanilla_set",
-    "OUT_DIR_ENV",
 ]
-
-OUT_DIR_ENV = "PEMI_OUT_DIR"
 
 METHODS = ("pemi_det", "pemi_rand", "vanilla", "oracle")
 
@@ -313,26 +309,18 @@ def _resolve_cutoff(spec: dict | None, gen: GeneratorConfig | None) -> float | N
         raise ConfigurationError("cutoff needs a 'value' or a 'quantile'")
     if gen is None:
         raise ConfigurationError("cutoff quantile needs a generator run (datasets carry a c column)")
-    q = o.number("quantile")
-    sample_n = o.number("sample_n", 2000, integer=True)
-    seed = o.number("seed", 7, integer=True)
-    o.done()
+    q = o.done(o.number("quantile"))
     if not 0 <= q <= 1:
         raise ConfigurationError(f"option 'quantile' must be in [0, 1], got {q}")
-    if sample_n < 1:
-        raise ConfigurationError(f"option 'sample_n' must be >= 1, got {sample_n}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 55117)))
-    return float(np.quantile(generate(gen, sample_n, rng)[1], q))
+    # the quantile of 2,000 fresh labels from a fixed seed, so a config fixes its cutoff
+    rng = np.random.default_rng(np.random.SeedSequence((7, 55117)))
+    return float(np.quantile(generate(gen, 2000, rng)[1], q))
 
 
-def _lond_reaches_floor(rule: ConformalPValueRule, T: int) -> bool:
+def _lond_reaches_floor(lond: LondEngine | ELondRule, T: int, floor: Callable[[int], float]) -> bool:
     """Whether some step t <= T has a LOND level ``alpha * gamma_t * t`` (every
-    earlier step a discovery) at or above the last p-value's floor ``w_t / sum(w)``."""
-    lond = rule.engine
-    return any(
-        lond.alpha * lond.gamma(t) * t >= 1 / np.cumsum(recency_weights(t, rule.decay))[-1]
-        for t in range(1, T + 1)
-    )
+    earlier step a discovery) at or above ``floor(t)``, the least p-value step t can see."""
+    return any(lond.alpha * lond.gamma(t) * t >= floor(t) for t in range(1, T + 1))
 
 
 @dataclass(frozen=True)
@@ -351,14 +339,23 @@ def resolve_experiment(config: ExperimentConfig) -> ResolvedExperiment:
     rule = _build(_RULES, config.rule, "rule", gen, stream)
     score = _build(_SCORES, config.score, "score", gen, stream, default="abs_residual")
     cutoff_value = _resolve_cutoff(config.cutoff, gen)
-    if isinstance(getattr(rule, "engine", None), LondEngine) and not _lond_reaches_floor(rule, config.T):
-        raise ConfigurationError(
-            "this LOND rule never selects: test_alpha * gamma(t) * t < 1 / sum(weights) at every t <= T"
-        )
     if rule.needs_cutoffs and cutoff_value is None and (stream is None or stream.cutoffs is None):
         raise ConfigurationError("this rule needs cutoffs: configure 'cutoff' or provide a c column")
     if rule.needs_offline and config.offline_n < 1:
         raise ConfigurationError("the e-value rule needs offline_n >= 1")
+    # a p-value's floor: w_t / sum(w) for the weighted conformal one, 1 / (offline_n + 1) for e-LOND's
+    if isinstance(getattr(rule, "engine", None), LondEngine) and not _lond_reaches_floor(
+        rule.engine, config.T, lambda t: 1 / np.cumsum(recency_weights(t, rule.decay))[-1]
+    ):
+        raise ConfigurationError(
+            "this LOND rule never selects: test_alpha * gamma(t) * t < 1 / sum(weights) at every t <= T"
+        )
+    if isinstance(rule, ELondRule) and not _lond_reaches_floor(
+        rule, config.T, lambda t: 1 / (config.offline_n + 1)
+    ):
+        raise ConfigurationError(
+            "this e-LOND rule never selects: test_alpha * gamma(t) * t < 1 / (offline_n + 1) at every t <= T"
+        )
     if rule.online_only and config.offline_n:
         raise ConfigurationError("this rule runs on online slots only: offline_n must be 0")
     if config.taxonomy_fcr and not rule.covariate_only:
@@ -508,7 +505,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for rep in range(config.N):
             events.extend(_run_replication(res, rep))
     rows = summarize(events)
-    fcr = [fcr_report(events, m, config.N, config.T) for m in config.methods]
+    fcr = [fcr_report(events, m, config.N) for m in config.methods]
     return ExperimentResult(config=config, events=events, rows=rows, fcr=fcr)
 
 
@@ -517,20 +514,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    env = os.environ.get(OUT_DIR_ENV)
-    base = env if env else (config.out or "pemi-results")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path | None = None) -> dict[str, Path]:
-    out = Path(out_dir) if out_dir is not None else _out_dir(result.config)
+    out = Path(out_dir if out_dir is not None else result.config.out or "pemi-results")
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.csv"
     with open(events_path, "w", newline="", encoding="utf-8") as fh:

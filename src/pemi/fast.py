@@ -142,16 +142,6 @@ def _closed_form(
     raise ConfigurationError(f"no closed form for rule {type(rule).__name__}")
 
 
-def _taxonomy_mask(traj: np.ndarray, taxonomy: SelectionTaxonomy) -> np.ndarray:
-    if taxonomy.trajectories is not None and len(taxonomy.trajectories) == 1:
-        (target,) = taxonomy.trajectories
-        if len(target) != traj.shape[1]:  # no trajectory of another length is a member
-            return np.zeros(traj.shape[0], dtype=bool)
-        return traj[:, -1] & np.all(traj == np.asarray(target), axis=1)
-    keep = np.array([taxonomy.contains(tuple(int(v) for v in row)) for row in traj], dtype=bool)
-    return traj[:, -1] & keep
-
-
 # The last label-free reference: its five arguments, held strongly so no id is reused, and its detail.
 _last_reference: tuple[tuple, CalibrationDetail] | None = None
 
@@ -185,7 +175,7 @@ def _covariate_reference(
     else:
         # trajectories are indexed by online steps: the batched replay's offline columns drop out
         traj = rule.trajectory_values_batch(permuted)[:, data.n_offline :]
-        sel = _taxonomy_mask(traj, taxonomy)
+        sel = taxonomy.mask(traj)
     detail = _calibration(point_scores, perms, sel)
     detail.moved_scores.setflags(write=False)
     _last_reference = (key, detail)

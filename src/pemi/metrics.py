@@ -43,7 +43,6 @@ class MetricsRow:
 class FcrReport:
     method: str
     n_runs: int
-    horizon: int
     fcr: float
 
 
@@ -79,7 +78,7 @@ def summarize(events: Iterable[Event]) -> list[MetricsRow]:
     return rows
 
 
-def fcr_report(events: Iterable[Event], method: str, n_runs: int, horizon: int) -> FcrReport:
+def fcr_report(events: Iterable[Event], method: str, n_runs: int) -> FcrReport:
     """Mean over runs of (#selected-and-missed / max(1, #selected))."""
     sel_by_rep: dict[int, int] = {}
     miss_by_rep: dict[int, int] = {}
@@ -92,4 +91,4 @@ def fcr_report(events: Iterable[Event], method: str, n_runs: int, horizon: int) 
     for rep in range(n_runs):
         sel = sel_by_rep.get(rep, 0)
         total += miss_by_rep.get(rep, 0) / max(1, sel)
-    return FcrReport(method=method, n_runs=n_runs, horizon=horizon, fcr=total / n_runs)
+    return FcrReport(method=method, n_runs=n_runs, fcr=total / n_runs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .sets import ThresholdSet
 from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
-    "iter_all_orders",
     "all_orders_sample",
     "full_pemi_pvalue",
     "full_pemi_set_grid",
@@ -42,12 +41,6 @@ def _guard(n: int) -> None:
             f"full enumeration of {n}! = {math.factorial(n)} permutations exceeds the cap "
             f"of {MAX_ENUM_SIZE} points"
         )
-
-
-def iter_all_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """All n! slot orders in lexicographic order."""
-    _guard(n)
-    return itertools.permutations(range(n))
 
 
 def all_orders_sample(

@@ -589,13 +589,21 @@ class SelectionTaxonomy:
     trajectories: frozenset[tuple[int, ...]] | None = None
     predicate: Callable[[tuple[int, ...]], bool] | None = None
 
-    def contains(self, trajectory: tuple[int, ...]) -> bool:
-        traj = tuple(int(v) for v in trajectory)
+    def mask(self, traj: np.ndarray) -> np.ndarray:
+        """Which rows of an ``(R, n)`` batch of online trajectories select
+        their last step and lie in the taxonomy: every row is compared at
+        once with the member trajectories of length ``n``, or the predicate
+        is called once per row."""
+        traj = np.asarray(traj)
         if self.trajectories is not None:
-            return traj in self.trajectories
-        if self.predicate is not None:
-            return bool(self.predicate(traj))
-        return True
+            n = traj.shape[1]
+            members = np.array([m for m in self.trajectories if len(m) == n], dtype=int).reshape(-1, n)
+            inside = np.any(np.all(traj[:, None, :] == members, axis=2), axis=1)
+        elif self.predicate is not None:
+            inside = np.array([bool(self.predicate(tuple(int(v) for v in row))) for row in traj], dtype=bool)
+        else:
+            inside = np.ones(traj.shape[0], dtype=bool)
+        return (traj[:, -1] == 1) & inside
 
     @staticmethod
     def singleton(trajectory: Sequence[int]) -> "SelectionTaxonomy":

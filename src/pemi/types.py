@@ -85,6 +85,8 @@ class DataSequence:
                 raise DomainError("offline covariates and labels must be finite")
             object.__setattr__(self, "offline_x", ox)
             object.__setattr__(self, "offline_y", oy)
+        if self.cutoffs is None and (self.test_cutoff is not None or self.offline_cutoffs is not None):
+            raise DomainError("test and offline cutoffs need the history cutoffs")
         if self.cutoffs is not None:
             c = np.asarray(self.cutoffs, dtype=float).reshape(-1)
             if c.shape[0] != y.shape[0]:
@@ -171,9 +173,6 @@ class PermutationSample:
     @property
     def m(self) -> int:
         return int(self.matrix.shape[0])
-
-    def __len__(self) -> int:
-        return self.m
 
 
 @dataclass(frozen=True)

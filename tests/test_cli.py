@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +87,6 @@ def test_cli_overrides_win(tmp_path):
     payload = json.loads((out / "summary.json").read_text())
     assert payload["config"]["seed"] == 77
     assert payload["config"]["alpha"] == 0.3
-
-
-def test_env_var_out_dir(tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(CONFIG)
-    target = tmp_path / "env-out"
-    monkeypatch.setenv("PEMI_OUT_DIR", str(target))
-    rc = main(["run", "--config", str(cfg)])
-    assert rc == 0
-    assert (target / "events.csv").exists()
 
 
 def test_a_method_that_issues_no_set_is_warned_about(tmp_path, capsys):
@@ -219,6 +208,27 @@ def test_rule_input_missing_from_the_config_is_a_config_error(tmp_path, capsys, 
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offline_n", [15, 16])
+def test_an_elond_rule_that_can_never_select_is_a_config_error(tmp_path, capsys, monkeypatch, offline_n):
+    # the largest level is test_alpha * gamma(1) * 1 = 0.1 * 6 / pi^2 ~ 0.0608, and no
+    # e-LOND p-value lies below 1 / (offline_n + 1): 1/16 is out of its reach, 1/17 is not
+    entry = f"rule: {{name: elond, test_alpha: 0.1}}\ncutoff: {{quantile: 0.5}}\noffline_n: {offline_n}"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CONFIG.replace("rule: {name: always}", entry).replace("T: 4\nN: 2", "T: 60\nN: 5"))
+    out = tmp_path / "out"
+    if offline_n == 15:
+        monkeypatch.setattr(experiment, "_run_replication", lambda *args: pytest.fail("a replication ran"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: this e-LOND rule never selects: "
+            "test_alpha * gamma(t) * t < 1 / (offline_n + 1) at every t <= T\n"
+        )
+    else:
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((out / "events.csv").read_text().splitlines()) > 1
+
+
 @pytest.mark.parametrize("methods", ["[vanilla]", "[pemi_det]"])
 def test_offline_block_for_an_online_only_rule_fails_before_any_replication(
     tmp_path, capsys, monkeypatch, methods
@@ -249,7 +259,7 @@ def test_offline_block_for_an_online_only_rule_fails_before_any_replication(
         ("rule: {name: weighted_quantile, decay: .nan}", "'decay'"),
         ("rule: {name: conformal_pvalue, test_alpha: .nan}", "'test_alpha'"),
         ("cutoff: {quantile: 1.5}", "'quantile'"),
-        ("cutoff: {quantile: 0.5, sample_n: 0}", "'sample_n'"),
+        ("cutoff: {quantile: 0.5, sample_n: 2000}", "unknown options for cutoff: ['sample_n']"),
         ("rule: {name: conformal_pvalue, test_alpha: 5.0}\ncutoff: {value: 0.0}", "alpha"),
         ("rule: {name: elond, test_alpha: 5.0}\ncutoff: {value: 0.0}\noffline_n: 5", "alpha"),
         ("score: {name: abs_residual, model: {name: linear_fit, train_n: 0}}", "'train_n'"),
@@ -260,8 +270,7 @@ def test_offline_block_for_an_online_only_rule_fails_before_any_replication(
         ("score: {name: abs_residual, model: {name: column, index: 0.9}}", "'index'"),
         ("score: {name: abs_residual, model: {name: linear_fit, train_n: 10.9}}", "'train_n'"),
         ("score: {name: abs_residual, model: {name: linear_fit, train_seed: 1.5}}", "'train_seed'"),
-        ("cutoff: {quantile: 0.5, sample_n: 10.5}", "'sample_n'"),
-        ("cutoff: {quantile: 0.5, seed: 3.7}", "'seed'"),
+        ("cutoff: {quantile: 0.5, seed: 7}", "unknown options for cutoff: ['seed']"),
         ("rule: {name: weighted_quantile, decay: 0}\nT: 1", "decay must be positive"),
         ("rule: {name: conformal_pvalue}\ncutoff: {quantile: 0.7}", "LOND rule never selects"),
     ],
@@ -282,7 +291,6 @@ def test_wrong_type_or_non_finite_option_is_a_config_error(tmp_path, capsys, mon
     [
         ("rule: always", ["--rule", "decision_driven"]),
         ("rule:", ["--rule", "always"]),
-        ("score: abs_residual", ["--score", "abs_residual"]),
     ],
 )
 def test_name_flag_over_a_non_mapping_section_is_a_config_error(tmp_path, capsys, entry, flag):

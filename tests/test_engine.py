@@ -175,7 +175,9 @@ def _loop_mask(y, data, rule, perms, taxonomy=None):
             out.append(bool(rule.select(seq)))
         else:
             traj = rule.trajectory(seq)
-            out.append(traj[-1] == 1 and taxonomy.contains(traj))
+            members = taxonomy.trajectories
+            inside = traj in members if members is not None else taxonomy.predicate(traj)
+            out.append(traj[-1] == 1 and bool(inside))
     return np.array(out, dtype=bool)
 
 
@@ -223,8 +225,9 @@ def test_reference_mask_equals_a_loop_over_the_public_helper(family):
         if isinstance(rule, EarlierOutcomeRule):  # the partition boundaries
             labels += [float(v) for v in rule.point_values(data.x)]
         observed = SelectionTaxonomy.singleton(rule.trajectory(data))
+        odd = SelectionTaxonomy(predicate=lambda tr: sum(tr) % 2 == 1)
         for y in labels:
-            for taxonomy in (None, observed):
+            for taxonomy in (None, observed, odd):
                 want = _loop_mask(y, data, rule, perms, taxonomy)
                 assert np.array_equal(reference_mask(y, data, rule, perms, taxonomy), want)
 
@@ -250,6 +253,15 @@ def test_taxonomy_excluding_everything_gives_identity_only(rng, residual_score):
     tax = SelectionTaxonomy(predicate=lambda s: False)
     p = pemi_pvalue(0.0, data, rule, residual_score, perms, tax)
     assert p.ref_size == 1 and p.value == 1.0
+
+
+def test_taxonomy_mask_of_an_empty_sample_is_empty(rng):
+    data = make_sequence(rng, t=4)
+    rule = DecisionDrivenRule(tau0=5.0, tau1=-1.0, mu=MU)
+    perms = sample_permutations(4, 0, seed=3)
+    observed = SelectionTaxonomy.singleton(rule.trajectory(data))
+    for tax in (observed, SelectionTaxonomy(predicate=lambda s: True)):
+        assert reference_mask(0.0, data, rule, perms, tax).shape == (0,)
 
 
 def test_taxonomy_singleton_filters_trajectories(rng, residual_score):

@@ -329,17 +329,29 @@ def test_every_config_rule_has_a_closed_form_equal_to_the_engine(family):
 
 # options a section cannot do without; every other one has a default
 REQUIRED_OPTIONS = {"name", "tau0", "tau1", "models", "gamma", "beta_sel", "quantile"}
+# one value just outside the range of each option that has one
+OUT_OF_RANGE = {
+    "tau0": 0, "q_sel": 1.0, "gamma": 0, "q": 1.0,
+    "test_alpha": 1.0, "beta_sel": 0, "decay": -1, "quantile": 1.5,
+}
 
 
 def _mutations(section: dict):
-    """``section`` with an unknown option, each option set to a string, NaN
-    or infinity, and each required option dropped."""
+    """``section`` with an unknown option, each option set to a string, NaN,
+    infinity or a value outside its range, and each required option dropped."""
     yield {**section, "bogus": 1}
     for key in section:
         for value in ("abc", math.nan, math.inf):
             yield {**section, key: value}
+        if key in OUT_OF_RANGE:
+            yield {**section, key: OUT_OF_RANGE[key]}
         if key in REQUIRED_OPTIONS:
             yield {k: v for k, v in section.items() if k != key}
+
+
+def test_every_out_of_range_value_meets_an_example_option():
+    keys = {key for spec, extra in FAMILY_CONFIGS.values() for key in (*spec, *extra.get("cutoff", {}))}
+    assert set(OUT_OF_RANGE) <= keys
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))

@@ -415,7 +415,7 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score, n_of
 
 def test_singleton_taxonomy_of_another_length_keeps_the_identity_alone(rng, residual_score):
     """A pinned trajectory of another length than the step's matches no
-    permuted trajectory (``SelectionTaxonomy.contains``), so the closed form,
+    permuted trajectory (``SelectionTaxonomy.mask``), so the closed form,
     like the engine, calibrates on the identity alone."""
     data = make_sequence(rng, t=3)
     rule = DecisionDrivenRule(tau0=20.0, tau1=-10.0, mu=MU)  # selects every point

@@ -40,11 +40,11 @@ def test_fcr_report_guards_empty_runs():
         # rep 1 never selects
         _ev(2, 1, "m", 1, 1.0),
     ]
-    rep = fcr_report(events, "m", n_runs=3, horizon=2)
+    rep = fcr_report(events, "m", n_runs=3)
     # rep0: 1 miss of 2 -> 0.5; rep1: 0/max(1,0) -> 0; rep2: 0/1 -> 0
     assert rep.fcr == pytest.approx(0.5 / 3)
 
 
 def test_fcr_never_select_is_zero():
-    rep = fcr_report([], "m", n_runs=5, horizon=4)
+    rep = fcr_report([], "m", n_runs=5)
     assert rep.fcr == 0.0

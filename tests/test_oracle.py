@@ -12,7 +12,6 @@ from pemi.oracle import (
     all_orders_sample,
     full_pemi_pvalue,
     full_pemi_set_grid,
-    iter_all_orders,
     jomi_reference,
     jomi_set_symmetric,
     permutation_fcp_pvalue,
@@ -29,15 +28,15 @@ MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
 
 
 def test_enumeration_is_lexicographic_and_complete():
-    orders = list(iter_all_orders(4))
+    orders = [tuple(row) for row in all_orders_sample(4).matrix.tolist()]
     assert len(orders) == 24
     assert orders == sorted(orders)
     assert len(set(orders)) == 24
+    without = [tuple(row) for row in all_orders_sample(4, skip_identity=True).matrix.tolist()]
+    assert without == orders[1:]
 
 
 def test_guard_error():
-    with pytest.raises(GuardError):
-        list(iter_all_orders(9))
     with pytest.raises(GuardError):
         all_orders_sample(9)
 

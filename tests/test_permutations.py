@@ -204,6 +204,21 @@ def test_non_finite_sequence_input_is_rejected(bad):
         DataSequence(**{**kw, **bad})
 
 
+@pytest.mark.parametrize(
+    "dropped",
+    [
+        dict(test_cutoff=NAN),
+        dict(test_cutoff=0.7),
+        dict(offline_x=[[3.0]], offline_y=[3.0], offline_cutoffs=[0.5]),
+    ],
+)
+def test_cutoffs_without_history_cutoffs_are_rejected(dropped):
+    # without the history ``cutoffs`` they would be accepted and ignored
+    kw = dict(x=[[0.0]], y=[1.0], test_x=[2.0])
+    with pytest.raises(DomainError, match="history cutoffs"):
+        DataSequence(**{**kw, **dropped})
+
+
 def test_infinite_cutoffs_are_allowed():
     seq = DataSequence(x=[[0.0], [1.0]], y=[0.0, 1.0], test_x=[2.0], cutoffs=[-INF, 0.6], test_cutoff=INF)
     assert seq.full_cutoffs().tolist() == [-INF, 0.6, INF]

@@ -1,7 +1,8 @@
+import argparse
 import re
 from pathlib import Path
 
-from pemi import experiment
+from pemi import cli, experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +23,11 @@ def _table_names(header: str) -> list[str]:
 def test_the_config_tables_name_what_a_config_can_reach():
     assert _table_names("rule") == list(experiment._RULES)
     assert _table_names("model") == list(experiment._MODELS)
+
+
+def test_the_cli_section_lists_the_run_flags():
+    """The README's one-line flag list names exactly the flags of ``pemi run``, in the parser's order."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [s for a in sub.choices["run"]._actions for s in a.option_strings if s not in ("-h", "--help")]
+    line = re.search(r"^`pemi run` flags: .*$", README.read_text(encoding="utf-8"), re.M).group(0)
+    assert re.findall(r"`(--\w+)`", line) == flags

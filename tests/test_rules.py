@@ -360,11 +360,17 @@ def test_elond_first_step_reduction(rng):
 
 
 def test_taxonomy_membership():
-    tax = SelectionTaxonomy.singleton((1, 0, 1))
-    assert tax.contains((1, 0, 1)) and not tax.contains((1, 1, 1))
-    assert SelectionTaxonomy().contains((0, 0))
+    rows = np.array([[1, 0, 1], [1, 1, 1], [1, 0, 0], [0, 0, 1]], dtype=bool)
+    assert SelectionTaxonomy.singleton((1, 0, 1)).mask(rows).tolist() == [True, False, False, False]
+    # a member of another length admits no row
+    assert not SelectionTaxonomy.singleton((1, 1)).mask(rows).any()
+    several = SelectionTaxonomy(trajectories=frozenset({(1, 0, 1), (0, 0, 1), (1, 0, 0)}))
+    assert several.mask(rows).tolist() == [True, False, False, True]
+    # the everything-taxonomy keeps the rows that select their last step
+    assert SelectionTaxonomy().mask(rows).tolist() == [True, True, False, True]
     odd = SelectionTaxonomy(predicate=lambda s: sum(s) % 2 == 1)
-    assert odd.contains((1, 0)) and not odd.contains((1, 1))
+    assert odd.mask(rows).tolist() == [False, True, False, True]
+    assert SelectionTaxonomy().mask(np.zeros((0, 3), dtype=bool)).shape == (0,)
 
 
 def test_recency_weights():
