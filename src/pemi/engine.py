@@ -8,16 +8,23 @@ that reference set.  Everything here works for arbitrary rules and
 scores by direct evaluation — the closed-form module reproduces these
 answers without enumerating candidate labels.
 
-A rule's point values depend on each point alone, so a call imputes the
-label and evaluates the model once (``rule.replay``); the sampled
-permutations only index those slot arrays, and one ``rule.decide_rows``
-call decides every row (the cutoff and earlier-outcome kernels take the
-whole batch).  The earlier-outcome closed form reads its two side masks
-from ``reference_mask`` itself.
+A rule's point values depend on each point alone and read no label, so
+the label-free part of a replay is built once per sequence, rule and
+sample (``rule.replay`` with the test label left NaN, one gather of every
+sampled row's arguments, and where each row keeps the test label) and
+kept in a one-slot memo, as are the labeled points' scores per sequence
+and score.  Each candidate label then only writes itself into the test
+label's places and decides every row in one ``rule.decide_rows`` call
+(the cutoff and earlier-outcome kernels take the whole batch), so every
+label is still decided by the rule itself; its score is the one score
+computed per label.  The earlier-outcome closed form reads its two side
+masks from ``reference_mask`` itself.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,6 +76,58 @@ def _check_domain(data: DataSequence, perms: PermutationSample) -> None:
         )
 
 
+def _one_slot_memo(build: Callable) -> Callable:
+    """``build`` remembering its last result by the identity of its arguments.
+
+    A call with the very objects (``is``) of the last call returns its
+    result again; any other call, one with equal but distinct objects
+    included, builds anew and takes the slot.  The arguments must be
+    immutable values (frozen, with read-only arrays), and are held
+    strongly, so no id is reused while they are remembered.  Only a
+    finished build is kept, so a build that raises raises on every call.
+    The slot is the wrapper's ``last`` attribute.
+    """
+
+    @functools.wraps(build)
+    def memo(*args):
+        last = memo.last
+        if last is not None and len(last[0]) == len(args) and all(a is b for a, b in zip(last[0], args)):
+            return last[1]
+        result = build(*args)
+        memo.last = (args, result)
+        return result
+
+    memo.last = None
+    return memo
+
+
+@_one_slot_memo
+def _replayed(data: DataSequence, rule: SelectionRule, perms: PermutationSample) -> tuple:
+    """Every sampled row's ``decide`` arguments with the test label left
+    NaN, and the flat positions in the row-stacked labels that hold it:
+    all of a replay that no candidate label changes, read-only.
+    ``point_values`` reads no label, so the values and cutoffs are those
+    of any label's replay."""
+    _check_domain(data, perms)
+    values, labels, cutoffs, n_offline = rule.replay(data, math.nan)(perms.matrix)
+    at_test = np.flatnonzero(perms.matrix[:, :-1] == data.n_slots - 1)
+    for a in (values, labels, cutoffs, at_test):
+        if a is not None:
+            a.setflags(write=False)
+    return values, labels, cutoffs, n_offline, at_test
+
+
+@_one_slot_memo
+def _labeled_scores(data: DataSequence, score: LastPointScore) -> np.ndarray:
+    """The labeled slots' scores in slot order, read-only."""
+    test_slot = data.n_slots - 1
+    scores = np.empty(test_slot)
+    if test_slot:
+        scores[:] = score.of_points(data.full_x()[:test_slot], data.full_y()[:test_slot])
+    scores.setflags(write=False)
+    return scores
+
+
 def reference_mask(
     y: float,
     data: DataSequence,
@@ -81,17 +140,23 @@ def reference_mask(
     With a taxonomy, membership additionally requires the whole permuted
     selection trajectory to stay inside it.  The identity is not part of
     the sample and is accounted for separately by the p-value functions.
-    The values are computed once per call (``rule.replay``).  Without a
-    taxonomy, one gather of every row's arguments goes to one
-    ``rule.decide_rows`` call; with one, each row replays
-    ``rule.decide_trajectory`` under its order and ``taxonomy.mask``
-    keeps the stacked trajectories it admits.
+    Every row's arguments come from the label-free replay of ``data``,
+    ``rule`` and ``perms`` (built once for those very objects), with ``y``
+    written where a row holds the test label.  Without a taxonomy one
+    ``rule.decide_rows`` call decides every row; with one, each row
+    replays ``rule.decide_trajectory`` and ``taxonomy.mask`` keeps the
+    stacked trajectories it admits.  A NaN label is a ``DomainError``;
+    ±inf are labels below and above every other.
     """
-    _check_domain(data, perms)
-    arguments = rule.replay(data, y)
+    if math.isnan(y):
+        raise DomainError("a candidate label must not be NaN")
+    values, labels, cutoffs, n_offline, at_test = _replayed(data, rule, perms)
+    labels = labels.copy()
+    np.put(labels, at_test, y)
     if taxonomy is None:
-        return rule.decide_rows(*arguments(perms.matrix))
-    traj = [rule.decide_trajectory(*arguments(order)) for order in perms.matrix]
+        return rule.decide_rows(values, labels, cutoffs, n_offline)
+    cut = [None] * perms.m if cutoffs is None else cutoffs
+    traj = [rule.decide_trajectory(*row, n_offline) for row in zip(values, labels, cut)]
     return taxonomy.mask(np.array(traj, dtype=bool).reshape(perms.m, data.t))
 
 
@@ -99,26 +164,21 @@ def _scores_for(
     y: float,
     data: DataSequence,
     score: ConformityScore,
-    orders: np.ndarray,
+    perms: PermutationSample,
+    mask: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Conformity score of the identity and of each permuted sequence."""
+    """Conformity score of the identity and of each permuted sequence of the rows ``mask`` keeps."""
     if isinstance(score, LastPointScore):
-        full_x = data.full_x()
-        full_y = data.full_y()
-        test_slot = data.n_slots - 1
-        point_scores = np.empty(data.n_slots)
-        if test_slot:
-            point_scores[:test_slot] = score.of_points(full_x[:test_slot], full_y[:test_slot])
-        point_scores[test_slot] = score.of_point(data.test_x, y)
-        v0 = float(point_scores[test_slot])
-        return v0, point_scores[orders[:, -1]] if orders.size else np.empty(0)
+        # the labeled points' scores are label-free: only the test point's is computed per label
+        point_scores = np.append(_labeled_scores(data, score), score.of_point(data.test_x, y))
+        return float(point_scores[-1]), point_scores[perms.matrix[mask, -1]]
     # order-sensitive score: materialize each permuted labeled sequence
     full_x = data.full_x()
     full_y = data.full_y()
     full_y = np.where(np.isnan(full_y), y, full_y)
     v0 = float(score.of_sequence(full_x, full_y))
     vals = np.array(
-        [score.of_sequence(full_x[order], full_y[order]) for order in orders]
+        [score.of_sequence(full_x[order], full_y[order]) for order in perms.matrix[mask]]
     )
     return v0, vals
 
@@ -141,12 +201,12 @@ def pemi_pvalue(
     candidate label of a time step; at ``u = 1`` the value coincides with
     the deterministic form.  Handles plain online sequences and
     sequences with an offline block alike: the permutations simply act on
-    every slot the sequence has.
+    every slot the sequence has.  A NaN ``y`` is a ``DomainError``.
     """
     if u is not None and not 0 <= u <= 1:
         raise DomainError(f"tie-break uniform must be in [0,1], got {u}")
     mask = reference_mask(y, data, rule, perms, taxonomy)
-    v0, vals = _scores_for(y, data, score, perms.matrix[mask])
+    v0, vals = _scores_for(y, data, score, perms, mask)
     ref_size = 1 + int(mask.sum())
     if u is None:
         exceed = 1 + int(np.sum(v0 <= vals))  # identity tie with itself included
@@ -174,8 +234,8 @@ def pemi_set_grid(
 ) -> np.ndarray:
     """Per-grid-point membership 1{p(y) > alpha}; a verification utility."""
     g = np.asarray(grid, dtype=float)
-    if np.any(np.diff(g) < 0):
-        raise DomainError("grid must be sorted")
+    if np.isnan(g).any() or np.any(np.diff(g) < 0):
+        raise DomainError("grid must be sorted, with no NaN")
     out = np.zeros(g.shape[0], dtype=bool)
     for i, y in enumerate(g):
         out[i] = pemi_pvalue(float(y), data, rule, score, perms, taxonomy, u).exceeds(alpha)

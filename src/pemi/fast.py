@@ -32,11 +32,11 @@ the one place that picks the construction for a rule.
 The deterministic and the tie-randomized set of a step are two
 calibrations of one label-free reference, so ``_covariate_reference``
 builds it once per identity of its arguments and keeps the last one in a
-module slot.  A slot, not a reference handed in by the caller, keeps
-``covariate_set`` and ``covariate_set_randomized`` the functions that
-return the sets, with their signatures, looked up by name: replacing one
-by name still reaches every caller, and a tracer that wraps them still
-times every set.
+one-slot memo, the helper the engine's label-free replay also uses.  A
+slot, not a reference handed in by the caller, keeps ``covariate_set``
+and ``covariate_set_randomized`` the functions that return the sets,
+with their signatures, looked up by name: replacing one by name still
+reaches every caller, and a tracer that wraps them still times every set.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MultiTestRule, _check_domain, _single_test, pemi_pvalue, reference_mask
+from .engine import MultiTestRule, _check_domain, _one_slot_memo, _single_test, pemi_pvalue, reference_mask
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
@@ -142,10 +142,7 @@ def _closed_form(
     raise ConfigurationError(f"no closed form for rule {type(rule).__name__}")
 
 
-# The last label-free reference: its five arguments, held strongly so no id is reused, and its detail.
-_last_reference: tuple[tuple, CalibrationDetail] | None = None
-
-
+@_one_slot_memo
 def _covariate_reference(
     data: DataSequence,
     rule: CovariateRule,
@@ -155,19 +152,13 @@ def _covariate_reference(
 ) -> CalibrationDetail:
     """The label-free reference behind the single-threshold sets.
 
-    Built once per identity of the five arguments, which are frozen and
-    hold read-only arrays: a call with the very objects of the last one
-    returns its detail, read-only.  The detail lives in a module slot, not
-    a parameter, so the two set constructors keep the signatures and the
-    lookup by name through which a replacement or a tracer reaches them.
-    Only a built reference is kept: a rule that does not select the
-    observed point raises on every call.
+    Built once per identity of the five arguments (``engine._one_slot_memo``):
+    a call with the very objects of the last one returns its detail,
+    read-only.  The detail lives in a module slot, not a parameter, so the
+    two set constructors keep the signatures and the lookup by name
+    through which a replacement or a tracer reaches them.  A rule that
+    does not select the observed point raises on every call.
     """
-    global _last_reference
-    key = (data, rule, score, perms, taxonomy)
-    last = _last_reference
-    if last is not None and all(a is b for a, b in zip(last[0], key)):
-        return last[1]
     values, point_scores = _observed(data, rule, score, perms)
     permuted = values[perms.matrix]
     if taxonomy is None:
@@ -178,7 +169,6 @@ def _covariate_reference(
         sel = taxonomy.mask(traj)
     detail = _calibration(point_scores, perms, sel)
     detail.moved_scores.setflags(write=False)
-    _last_reference = (key, detail)
     return detail
 
 

@@ -101,6 +101,11 @@ class SelectionRule(abc.ABC):
     ``online_only`` (no offline block).  ``decide_rows`` runs ``decide``
     on each row of a batch; a rule whose one kernel is its reference
     (``CutoffRule``, ``EarlierOutcomeRule``) overrides it.
+
+    A rule is an immutable value, and ``point_values`` reads no label: the
+    engine builds a replay's values, gathered rows and cutoffs once per
+    identity of the sequence, rule and sample, and only the test label
+    changes between candidate labels.
     """
 
     covariate_only: ClassVar[bool] = False

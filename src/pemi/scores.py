@@ -70,7 +70,10 @@ class LastPointScore(ConformityScore):
     """A score that reads only the final data point.
 
     Subclasses provide the pointwise value and the exact sublevel set in
-    label space; batch evaluation has a generic fallback.
+    label space; batch evaluation has a generic fallback.  A score is an
+    immutable value whose points score alone: the engine scores a
+    sequence's labeled points once per identity of the sequence and score,
+    and only the test point once per candidate label.
     """
 
     @abc.abstractmethod

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pemi.crosscheck import FAMILIES, draw_instance
+from pemi import engine
+from pemi.crosscheck import FAMILIES, _label_grid, draw_instance
 from pemi.engine import (
     MultiTestRule,
     TopPredictionRule,
@@ -15,7 +17,7 @@ from pemi.engine import (
     pemi_set_grid,
     reference_mask,
 )
-from pemi.errors import DomainError, PreconditionError
+from pemi.errors import ConfigurationError, DomainError, PreconditionError
 from pemi.fast import multi_test_threshold_set
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import sample_permutations
@@ -273,6 +275,125 @@ def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
     p_tax = pemi_pvalue(0.3, data, rule, residual_score, perms, tax)
     p_plain = pemi_pvalue(0.3, data, rule, residual_score, perms)
     assert p_tax.ref_size <= p_plain.ref_size
+
+
+# -- the label-free replay memo ------------------------------------------------
+
+
+def _cold(monkeypatch):
+    """Empty both engine memo slots: the next call builds from scratch."""
+    for memo in (engine._replayed, engine._labeled_scores):
+        monkeypatch.setattr(memo, "last", None)
+
+
+def _counts(p):
+    return p.value, p.ref_size, p.exceed_count, p.tie_count
+
+
+def test_label_free_replay_is_built_once_per_argument_identity(monkeypatch):
+    """A grid of labels replays the rule and scores the labeled points once;
+    an equal but distinct sequence, rule, sample or score builds again."""
+    inst = draw_instance("earlier_outcome", np.random.default_rng(3), 6)
+    data, rule, score = inst.data, inst.rule, inst.score
+    perms = sample_permutations(6, 30, seed=4)
+    _cold(monkeypatch)
+    replays, scorings = [], []
+    point_values, of_points = EarlierOutcomeRule.point_values, AbsoluteResidualScore.of_points
+    monkeypatch.setattr(EarlierOutcomeRule, "point_values", lambda *a: replays.append(a) or point_values(*a))
+    monkeypatch.setattr(AbsoluteResidualScore, "of_points", lambda *a: scorings.append(a) or of_points(*a))
+    pemi_set_grid(np.linspace(-3.0, 3.0, 20), data, rule, score, perms, inst.alpha)
+    assert (len(replays), len(scorings)) == (1, 1)
+    args = dict(data=data, rule=rule, score=score, perms=perms)
+    p = pemi_pvalue(0.5, **args)
+    twins = {
+        "data": (dataclasses.replace(data), (1, 1)),
+        "rule": (dataclasses.replace(rule), (1, 0)),
+        "perms": (sample_permutations(6, 30, seed=4), (1, 0)),
+        "score": (dataclasses.replace(score), (0, 1)),
+    }
+    for name, (twin, rebuilt) in twins.items():
+        pemi_pvalue(0.5, **args)
+        replays.clear()
+        scorings.clear()
+        assert pemi_pvalue(0.5, **{**args, name: twin}) == p
+        assert (len(replays), len(scorings)) == rebuilt, name
+
+
+def test_interleaved_rules_and_scores_each_match_a_fresh_evaluation(monkeypatch):
+    """Two rules and two scores on one sequence and sample take turns in the
+    slots; every warm p-value equals the one built from empty slots."""
+    data = make_sequence(np.random.default_rng(11), t=6)
+    perms = sample_permutations(6, 40, seed=2)
+    other = LinearModel(intercept=0.5, coef=(-0.3, 1.2))
+    rules = (EarlierOutcomeRule(mu=MU, beta_sel=0.5), EarlierOutcomeRule(mu=other, beta_sel=0.5))
+    scores = (AbsoluteResidualScore(MU), AbsoluteResidualScore(other))
+    pairs = [(rule, score) for rule in rules for score in scores]
+    grid = np.linspace(-3.0, 3.0, 15)
+    warm = [_counts(pemi_pvalue(y, data, r, s, perms)) for y in grid for r, s in pairs]
+    cold = []
+    for y in grid:
+        for r, s in pairs:
+            _cold(monkeypatch)
+            cold.append(_counts(pemi_pvalue(y, data, r, s, perms)))
+    assert warm == cold
+    # each rule and score pair gives its own p-values, so a slot read for the wrong one shows
+    assert len({tuple(cold[k :: len(pairs)]) for k in range(len(pairs))}) == len(pairs)
+
+
+def test_label_free_replay_is_read_only_and_keeps_no_failed_build(monkeypatch):
+    inst = draw_instance("elond", np.random.default_rng(5), 4)
+    perms = sample_permutations(4, 10, seed=1, n_offline=inst.data.n_offline)
+    _cold(monkeypatch)
+    pemi_pvalue(0.0, inst.data, inst.rule, inst.score, perms)
+    values, labels, cutoffs, _, at_test = engine._replayed(inst.data, inst.rule, perms)
+    for a in (values, labels, cutoffs, at_test, engine._labeled_scores(inst.data, inst.score)):
+        assert not a.flags.writeable
+    # e-LOND needs cutoffs and an offline block: a plain sequence raises on every call
+    plain = make_sequence(np.random.default_rng(6), t=4)
+    plain_perms = sample_permutations(4, 10, seed=1)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            pemi_pvalue(0.0, plain, inst.rule, inst.score, plain_perms)
+    assert engine._replayed.last[0] == (inst.data, inst.rule, perms)
+
+
+WARM_CASES = [*FAMILIES, "taxonomy", "earlier_outcome_tie_break"]
+
+
+@pytest.mark.parametrize("case", WARM_CASES)
+def test_a_warm_memo_gives_the_same_bits_as_a_cold_one(monkeypatch, case):
+    family = {"taxonomy": "covariate", "earlier_outcome_tie_break": "earlier_outcome"}.get(case, case)
+    inst = draw_instance(family, np.random.default_rng(40 + WARM_CASES.index(case)), 5)
+    data = inst.data
+    perms = sample_permutations(5, 30, seed=9, n_offline=data.n_offline)
+    u = inst.u if case in ("covariate_randomized", "earlier_outcome_tie_break") else None
+    taxonomy = SelectionTaxonomy.singleton(inst.rule.trajectory(data)) if case == "taxonomy" else None
+    args = (data, inst.rule, inst.score, perms, taxonomy, u)
+    grid = _label_grid(inst, 25)
+    warm = [_counts(pemi_pvalue(float(y), *args)) for y in grid]
+    cold = []
+    for y in grid:
+        _cold(monkeypatch)
+        cold.append(_counts(pemi_pvalue(float(y), *args)))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_nan_label_is_a_domain_error_where_it_enters(family):
+    inst = draw_instance(family, np.random.default_rng(60), 4)
+    perms = sample_permutations(4, 10, seed=0, n_offline=inst.data.n_offline)
+    args = (inst.data, inst.rule, inst.score, perms)
+    for u in (None, 0.5):
+        with pytest.raises(DomainError, match="NaN"):
+            pemi_pvalue(math.nan, *args, u=u)
+    for grid in ([0.0, math.nan, 1.0], [math.nan]):
+        with pytest.raises(DomainError, match="NaN"):
+            pemi_set_grid(grid, *args, inst.alpha)
+    with pytest.raises(DomainError, match="NaN"):
+        reference_mask(math.nan, inst.data, inst.rule, perms)
+    # labels below and above every other stay candidates
+    for y in (-math.inf, math.inf):
+        assert reference_mask(y, inst.data, inst.rule, perms).shape == (perms.m,)
 
 
 # -- multiple test points -----------------------------------------------------
