@@ -39,7 +39,6 @@ from .errors import (
 )
 from .fast import multi_test_threshold_set
 from .permutations import sample_permutations
-from .quantiles import weighted_quantile
 from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "PermutationSample",
     "SelectionPValue",
     "sample_permutations",
-    "weighted_quantile",
     "pemi_pvalue",
     "pemi_set_grid",
     "multi_test_pvalue",

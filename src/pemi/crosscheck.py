@@ -20,6 +20,7 @@ from .oracle import all_orders_sample
 from .permutations import sample_permutations
 from .rules import (
     ConformalPValueRule,
+    CutoffScoreFromModel,
     DecisionDrivenRule,
     EarlierOutcomeRule,
     ELondRule,
@@ -110,7 +111,7 @@ def draw_instance(family: str, rng: np.random.Generator, t: int) -> Instance:
                 engine = LondEngine(alpha=float(rng.uniform(0.7, 0.95)), gamma=GeometricGamma(0.6))
                 decay = 2.0  # heavy old points allow small p-values at small t
             rule = ConformalPValueRule(
-                f_score=lambda Xm, c, m=mu_model: np.asarray(m(Xm)) - np.asarray(c),
+                f_score=CutoffScoreFromModel(mu_model),
                 engine=engine,
                 decay=decay,
             )
@@ -130,7 +131,7 @@ def draw_instance(family: str, rng: np.random.Generator, t: int) -> Instance:
                 offline_cutoffs=c_all[:n_off],
             )
             rule = ELondRule(
-                f_score=lambda Xm, c, m=mu_model: np.asarray(m(Xm)) - np.asarray(c),
+                f_score=CutoffScoreFromModel(mu_model),
                 alpha=float(rng.uniform(0.7, 0.95)),
                 gamma=GeometricGamma(0.7),
             )

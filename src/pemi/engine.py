@@ -10,15 +10,16 @@ answers without enumerating candidate labels.
 
 A rule's point values depend on each point alone and read no label, so
 the label-free part of a replay is built once per sequence, rule and
-sample (``rule.replay`` with the test label left NaN, one gather of every
-sampled row's arguments, and where each row keeps the test label) and
+sample (``rule.replay`` on the whole sample: one gather of every sampled
+row's arguments with the test label NaN, and where each row keeps it) and
 kept in a one-slot memo, as are the labeled points' scores per sequence
-and score.  Each candidate label then only writes itself into the test
-label's places and decides every row in one ``rule.decide_rows`` call
-(the cutoff and earlier-outcome kernels take the whole batch), so every
-label is still decided by the rule itself; its score is the one score
-computed per label.  The earlier-outcome closed form reads its two side
-masks from ``reference_mask`` itself.
+and score, which the closed forms of ``pemi.fast`` read too.  Each
+candidate label then only writes itself into the test label's places,
+the one place a label is imputed, and decides every row in one
+``rule.decide_rows`` call (the cutoff and earlier-outcome kernels take
+the whole batch), so every label is still decided by the rule itself;
+its score is the one score computed per label.  The earlier-outcome
+closed form reads its two side masks from ``reference_mask`` itself.
 """
 
 from __future__ import annotations
@@ -103,13 +104,12 @@ def _one_slot_memo(build: Callable) -> Callable:
 
 @_one_slot_memo
 def _replayed(data: DataSequence, rule: SelectionRule, perms: PermutationSample) -> tuple:
-    """Every sampled row's ``decide`` arguments with the test label left
-    NaN, and the flat positions in the row-stacked labels that hold it:
-    all of a replay that no candidate label changes, read-only.
-    ``point_values`` reads no label, so the values and cutoffs are those
-    of any label's replay."""
+    """Every sampled row's ``decide`` arguments, the test label NaN, and
+    the flat positions in the row-stacked labels that hold it: all of a
+    replay that no candidate label changes, read-only.  ``point_values``
+    reads no label, so the values and cutoffs are those of any label."""
     _check_domain(data, perms)
-    values, labels, cutoffs, n_offline = rule.replay(data, math.nan)(perms.matrix)
+    values, labels, cutoffs, n_offline = rule.replay(data, perms.matrix)
     at_test = np.flatnonzero(perms.matrix[:, :-1] == data.n_slots - 1)
     for a in (values, labels, cutoffs, at_test):
         if a is not None:

@@ -35,6 +35,7 @@ from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
     AlwaysSelectRule,
     ConformalPValueRule,
+    CutoffScoreFromModel,
     DecisionDrivenRule,
     EarlierOutcomeRule,
     ELondRule,
@@ -151,16 +152,6 @@ class ColumnModel:
         if X.ndim == 1:
             X = X.reshape(1, -1)
         return X[:, self.index]
-
-
-@dataclass(frozen=True)
-class CutoffScoreFromModel:
-    """F(x, c) = mu(x) - c, the canonical monotone cutoff score."""
-
-    mu: Any
-
-    def __call__(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.asarray(self.mu(X), dtype=float) - np.asarray(c, dtype=float)
 
 
 _REQUIRED = object()

@@ -16,10 +16,12 @@ Four structures make this possible:
   index, so again a single threshold.
 
 The single-test constructors share one front end, ``_observed``: it
-checks the permutations against the sequence, gets the rule's point
-values from ``rule.replay`` as the generic engine does (which is where a
-rule's needs, such as cutoffs or an offline block, are enforced), checks
-that the rule selects the observed point, and scores the labeled points.
+checks the permutations against the sequence, gets the observed
+arguments of ``decide`` from ``rule.replay(data)`` as the generic engine
+does (which is where a rule's needs, such as cutoffs or an offline block,
+are enforced), checks that the rule selects the observed point, and takes
+the labeled points' scores from the engine's memo, so a closed form and
+the engine's p-values of one step score them once between them.
 Every construction builds a selection-preserving reference mask and then
 takes one calibration step, ``_calibration``: the rank-
 ``ceil((1-alpha)*ref_size)`` score among the members that moved a labeled
@@ -46,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MultiTestRule, _check_domain, _one_slot_memo, _single_test, pemi_pvalue, reference_mask
+from .engine import MultiTestRule, _check_domain, _labeled_scores, _one_slot_memo, _single_test
+from .engine import pemi_pvalue, reference_mask
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .quantiles import coverage_rank, kth_smallest_or_inf
 from .rules import (
@@ -57,7 +60,7 @@ from .rules import (
     SelectionTaxonomy,
     _sides,
 )
-from .scores import LastPointScore, score_each_point
+from .scores import LastPointScore
 from .sets import CutoffPiecewiseSet, IntervalUnionSet, ThresholdSet
 from .types import DataSequence, MultiTestData, PermutationSample
 
@@ -95,22 +98,23 @@ class CalibrationDetail:
 
 def _observed(
     data: DataSequence, rule: SelectionRule, score: LastPointScore, perms: PermutationSample
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's point values and the labeled points' scores (NaN in the
-    test slot), once ``perms`` acts on ``data``, the rule can run on it and
-    the rule selects the observed point."""
+) -> tuple[tuple, np.ndarray]:
+    """The observed ``decide`` arguments and the labeled points' scores
+    (the engine's, read-only), once ``perms`` acts on ``data``, the rule
+    can run on it and the rule selects the observed point."""
     _check_domain(data, perms)
-    observed = rule.replay(data, math.nan)(None)
+    observed = rule.replay(data)
     if not rule.decide(*observed):
         raise PreconditionError("the observed point was not selected")
-    return observed[0], score_each_point(score, data.full_x(), data.full_y())
+    return observed, _labeled_scores(data, score)
 
 
 def _calibration(
     point_scores: np.ndarray, perms: PermutationSample, sel: np.ndarray
 ) -> CalibrationDetail:
     """The reference of the sampled rows ``sel`` plus the identity; the test
-    point sits in the last slot, so rows keeping it there add no score."""
+    point sits in the last slot, so rows keeping it there add no score and
+    the others index only the labeled points' ``point_scores``."""
     last = perms.matrix[:, -1]
     moved = sel & (last != perms.n_points - 1)
     return CalibrationDetail(ref_size=1 + int(sel.sum()), moved_scores=point_scores[last[moved]])
@@ -159,7 +163,7 @@ def _covariate_reference(
     through which a replacement or a tracer reaches them.  A rule that
     does not select the observed point raises on every call.
     """
-    values, point_scores = _observed(data, rule, score, perms)
+    (values, *_), point_scores = _observed(data, rule, score, perms)
     permuted = values[perms.matrix]
     if taxonomy is None:
         sel = rule.select_values_batch(permuted)
@@ -260,13 +264,13 @@ def conformal_pvalue_set(
     scores and indicators of every slot, the offline block included, which
     permutations re-select; the usual quantile calibration then applies.
     """
-    fhat, point_scores = _observed(data, rule, score, perms)
-    ind = _sides(data.full_y()[:-1], data.full_cutoffs()[:-1])
+    (fhat, labels, cutoffs, n_offline), point_scores = _observed(data, rule, score, perms)
+    ind = _sides(labels, cutoffs)
     fp = fhat[perms.matrix]
     q = []
     for k in (0, 1):
         ind[-1] = k
-        sel = rule.selects_last(fp, ind[perms.matrix], data.n_offline)
+        sel = rule.selects_last(fp, ind[perms.matrix], n_offline)
         q.append(_calibration(point_scores, perms, sel).threshold(alpha).threshold)
     return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
 
@@ -292,7 +296,7 @@ def earlier_outcome_set(
     partition boundaries themselves are decided by direct p-value
     evaluation.
     """
-    mu_points, point_scores = _observed(data, rule, score, perms)
+    (mu_points, *_), point_scores = _observed(data, rule, score, perms)
     t = data.t
     if t == 1:
         return IntervalUnionSet((), (math.inf,), ())

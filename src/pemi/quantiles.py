@@ -14,7 +14,6 @@ decide alike at every level.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import DomainError
 
 __all__ = [
     "kth_smallest_or_inf",
-    "weighted_quantile",
     "coverage_rank",
     "exceeds_level",
 ]
@@ -62,27 +60,3 @@ def exceeds_level(count: int, ref_size: int, alpha: float, ties: int = 0, u: flo
     a, b = float(alpha).as_integer_ratio()
     c, d = float(u).as_integer_ratio()
     return b * (d * count + c * ties) > a * d * ref_size
-
-
-def weighted_quantile(beta: float, values: Sequence[float], weights: Sequence[float]) -> float:
-    """inf{z : sum of weights with value <= z reaches beta of the total}.
-
-    Always returns one of the input values.  Requires equal lengths,
-    strictly positive total weight and ``0 < beta <= 1``.
-    """
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != w.shape or v.ndim != 1:
-        raise DomainError("values and weights must be 1-d of equal length")
-    if np.any(w < 0):
-        raise DomainError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0:
-        raise DomainError("total weight must be positive")
-    if not 0 < beta <= 1:
-        raise DomainError(f"quantile level must be in (0, 1], got {beta}")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, beta * total, side="left"))
-    idx = min(idx, v.size - 1)  # float slack at beta == 1
-    return float(v[order][idx])

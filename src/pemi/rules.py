@@ -4,16 +4,17 @@ A rule reads each point through one value, ``point_values(X, cutoffs)``:
 a model output that depends on that point alone (the covariates
 themselves by default).  ``decide`` is the readable reference decision on
 slot-ordered values plus the labels and cutoffs of the labeled prefix.
-``replay`` is the one step from a ``DataSequence`` to its arguments: it
-imputes the test label, checks what the rule needs and computes the
-values once, then gives the arguments under any slot order.  ``select``
-and ``trajectory`` (the observed order), the generic engine (all permuted
-rows at once, through ``decide_rows``), the closed forms' front end and
-the oracle all use it.  A covariate rule (``covariate_only``: the decision
-never reads labels) decides from the values alone: ``select_values`` is
-its reference, and one batched kernel over an ``(R, T)`` array of permuted
-values serves the closed forms in ``pemi.fast``, which pick their
-construction by rule type.
+``replay(data, order)`` is the one step from a ``DataSequence`` to those
+arguments: it checks what the rule needs, computes the values once and
+gives the arguments with the slots in ``order`` (observed by default),
+the test label NaN wherever it lands.  ``select`` and ``trajectory``, the
+generic engine (all permuted rows at once, through ``decide_rows``, each
+candidate label written where the rows hold the test label) and the
+closed forms' front end all use it.  A covariate rule
+(``covariate_only``: the decision never reads labels) decides from the
+values alone: ``select_values`` is its reference, and one batched kernel
+over an ``(R, T)`` array of permuted values serves the closed forms in
+``pemi.fast``, which pick their construction by rule type.
 A cutoff rule reads each label only through its side of its cutoff:
 ``CutoffRule.selects_last`` on side indicators is both its reference and
 its batched kernel, and so is ``EarlierOutcomeRule.decide_rows``.  Every
@@ -43,6 +44,7 @@ __all__ = [
     "SelectionRule",
     "CovariateRule",
     "CutoffRule",
+    "CutoffScoreFromModel",
     "AlwaysSelectRule",
     "NeverSelectRule",
     "DecisionDrivenRule",
@@ -133,16 +135,17 @@ class SelectionRule(abc.ABC):
             for k in range(n_offline, values.shape[0])
         )
 
-    def replay(self, data: DataSequence, y: float) -> Callable[[np.ndarray | None], tuple]:
-        """Impute ``y`` as the test label and evaluate the point values once,
+    def replay(self, data: DataSequence, order: np.ndarray | None = None) -> tuple:
+        """The arguments of ``decide`` for ``data`` with its slots in ``order``,
         after checking that the rule can run on ``data``.
 
-        The returned function gives the arguments of ``decide`` with the
-        slots in ``order`` (an int64 permutation, unchecked), or in the
-        observed order for ``None``, which indexes nothing.  An (R, n)
-        matrix of orders gives the row-stacked arguments of ``decide_rows``.
-        A point's value depends on that point alone, so reordering only
-        indexes the slot-order values, labels and cutoffs.
+        ``order`` is an int64 permutation (unchecked), or ``None`` for the
+        observed order, which indexes nothing; an (R, n) matrix of orders
+        gives the row-stacked arguments of ``decide_rows``.  The point values
+        are evaluated once, and a point's value depends on that point alone,
+        so reordering only indexes the slot-order values, labels and
+        cutoffs.  No label is imputed: the test label stays NaN, as
+        ``full_y`` holds it, wherever ``order`` puts it.
         """
         cut = data.full_cutoffs()
         n_offline = data.n_offline
@@ -153,24 +156,19 @@ class SelectionRule(abc.ABC):
         if self.online_only and n_offline:
             raise ConfigurationError("this rule runs on online slots only")
         values = self.point_values(data.full_x(), cut)
-        labels = data.full_y().copy()
-        labels[-1] = y
-
-        def arguments(order: np.ndarray | None) -> tuple:
-            if order is None:
-                return values, labels[:-1], None if cut is None else cut[:-1], n_offline
-            head = order[..., :-1]
-            return values[order], labels[head], None if cut is None else cut[head], n_offline
-
-        return arguments
+        labels = data.full_y()
+        if order is None:
+            return values, labels[:-1], None if cut is None else cut[:-1], n_offline
+        # whole rows gather faster than the strided heads ``order[..., :-1]``
+        return values[order], labels[order][..., :-1], None if cut is None else cut[order][..., :-1], n_offline
 
     def select(self, data: DataSequence) -> bool:
         """``decide`` on ``data`` in its observed order."""
-        return bool(self.decide(*self.replay(data, math.nan)(None)))
+        return bool(self.decide(*self.replay(data)))
 
     def trajectory(self, data: DataSequence) -> tuple[int, ...]:
         """Decisions at every online step of ``data`` in its observed order."""
-        return self.decide_trajectory(*self.replay(data, math.nan)(None))
+        return self.decide_trajectory(*self.replay(data))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +407,16 @@ def _pvalue_column(
         exceed = f[..., :j] >= f[..., j : j + 1]
         num = w[j] + np.sum(wi[..., :j] * exceed, axis=-1)
     return num / denom[j]
+
+
+@dataclass(frozen=True)
+class CutoffScoreFromModel:
+    """F(x, c) = mu(x) - c, the canonical monotone cutoff score."""
+
+    mu: ModelFn
+
+    def __call__(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return np.asarray(self.mu(X), dtype=float) - np.asarray(c, dtype=float)
 
 
 class CutoffRule(SelectionRule):

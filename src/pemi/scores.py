@@ -111,12 +111,3 @@ class AbsoluteResidualScore(LastPointScore):
             return ((-math.inf, math.inf),)
         mu = float(self.model(np.asarray(x).reshape(1, -1))[0])
         return ((mu - tau, mu + tau),)
-
-
-def score_each_point(score: LastPointScore, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Per-point last-point scores; NaN where the label is unknown."""
-    vals = np.full(ys.shape[0], np.nan)
-    known = np.isfinite(np.asarray(ys, dtype=float))
-    if known.any():
-        vals[known] = score.of_points(np.asarray(X)[known], np.asarray(ys)[known])
-    return vals

@@ -45,7 +45,8 @@ class DataSequence:
     ``x``/``y`` hold the online labeled history (times ``1..t-1``),
     ``test_x`` the covariates of the test point (time ``t``).  An offline
     block, when present, precedes the online points.  Cutoffs are only
-    required by cutoff-based selection rules and travel with their points.
+    required by cutoff-based selection rules and travel with their points:
+    beside history cutoffs, a non-empty offline block carries its own.
     """
 
     x: np.ndarray
@@ -95,6 +96,8 @@ class DataSequence:
                 raise DomainError("test_cutoff required when history cutoffs are given")
             if np.any(np.isnan(c)) or np.isnan(float(self.test_cutoff)):
                 raise DomainError("cutoffs must not be NaN")
+            if self.n_offline and self.offline_cutoffs is None:
+                raise DomainError("offline block present but offline cutoffs missing")
             object.__setattr__(self, "cutoffs", c)
         if self.offline_cutoffs is not None:
             oc = np.asarray(self.offline_cutoffs, dtype=float).reshape(-1)
@@ -108,7 +111,7 @@ class DataSequence:
         full_x = np.concatenate(off_x + [x, test_x.reshape(1, -1)], axis=0)
         full_y = np.concatenate(off_y + [y, [np.nan]])
         full_c = None
-        if self.cutoffs is not None and (self.offline_cutoffs is not None or not self.n_offline):
+        if self.cutoffs is not None:
             off_c = [self.offline_cutoffs] if self.n_offline else []
             full_c = np.concatenate(off_c + [self.cutoffs, [float(self.test_cutoff)]])
         for name, arr in (("_full_x", full_x), ("_full_y", full_y), ("_full_cutoffs", full_c)):
@@ -141,8 +144,6 @@ class DataSequence:
 
     def full_cutoffs(self) -> np.ndarray | None:
         """Cutoffs in slot order (read-only); None for a sequence without cutoffs."""
-        if self.cutoffs is not None and self._full_cutoffs is None:
-            raise DomainError("offline block present but offline cutoffs missing")
         return self._full_cutoffs
 
 

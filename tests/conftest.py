@@ -60,6 +60,16 @@ def permuted(data: DataSequence, order: np.ndarray, y: float) -> DataSequence:
     return DataSequence(x=x[n_off:-1], y=labels[n_off:-1], test_x=x[-1], **kw)
 
 
+def weighted_quantile(beta: float, values, weights) -> float:
+    """inf{z : the weight of the values at most z reaches ``beta`` of the
+    total}, from the cumulative weights in sorted order: a reference for the
+    rules' weighted-quantile selections that shares no code with them."""
+    v, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    order = np.argsort(v, kind="stable")
+    idx = int(np.searchsorted(np.cumsum(w[order]), beta * w.sum(), side="left"))
+    return float(v[order][min(idx, v.size - 1)])  # float slack at beta == 1
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

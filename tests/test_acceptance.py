@@ -23,7 +23,6 @@ from pemi.fast import CalibrationDetail, multi_test_threshold_set
 from pemi.generators import GeneratorConfig, TrueMeanModel, generate
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import sample_permutations
-from pemi.quantiles import weighted_quantile
 from pemi.rules import AlwaysSelectRule, weighted_pvalue_history
 from pemi.scores import AbsoluteResidualScore
 from pemi.thresholds import lond_threshold
@@ -297,21 +296,6 @@ def test_criterion_8_unit_exactness(report):
     assert CalibrationDetail(ref_size=8, moved_scores=four).threshold(0.25).threshold == math.inf
     assert CalibrationDetail(ref_size=4, moved_scores=four).threshold(0.5).threshold == 2.0
     checks += 3
-    # weighted quantile: integer weights, against cumulative enumeration
-    for n in range(1, 11):
-        values = rng.integers(-10, 10, size=n).astype(float)
-        weights = rng.integers(0, 5, size=n).astype(float)
-        if weights.sum() == 0:
-            weights[0] = 1.0
-        for beta in (0.1, 0.25, 0.5, 0.75, 1.0):
-            total = weights.sum()
-            expect = None
-            for z in sorted(values):
-                if sum(w for v, w in zip(values, weights) if v <= z) >= beta * total:
-                    expect = z
-                    break
-            assert weighted_quantile(beta, values, weights) == expect
-            checks += 1
     # weighted clipped conformal p-value: double-loop enumeration, exact
     for n in range(1, 11):
         fhat = rng.integers(-5, 5, size=n).astype(float)

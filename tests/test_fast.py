@@ -436,11 +436,6 @@ def _cutoff_score(X, c):
     return np.asarray(X[:, 0]) - np.asarray(c)
 
 
-def _without_offline_cutoffs(rng):
-    data = make_sequence(rng, t=4, cutoffs=True, n_offline=3)
-    return dataclasses.replace(data, offline_cutoffs=None)
-
-
 NEEDS_CASES = {
     "conformal without cutoffs": (
         lambda rng: make_sequence(rng, t=4),
@@ -462,11 +457,6 @@ NEEDS_CASES = {
         ELondRule(f_score=_cutoff_score, alpha=0.5),
         ConfigurationError,
     ),
-    "elond without offline cutoffs": (
-        _without_offline_cutoffs,
-        ELondRule(f_score=_cutoff_score, alpha=0.5),
-        DomainError,
-    ),
 }
 
 
@@ -482,6 +472,14 @@ def test_closed_form_rejects_a_sequence_like_the_engine(rng, residual_score, cas
     assert type(closed.value) is type(engine.value) is expected
 
 
+def test_a_sequence_without_its_offline_cutoffs_never_reaches_a_rule(rng):
+    """History cutoffs beside an offline block that has none are rejected
+    where the sequence is built, before a closed form or the engine runs."""
+    data = make_sequence(rng, t=4, cutoffs=True, n_offline=3)
+    with pytest.raises(DomainError, match="offline cutoffs missing"):
+        dataclasses.replace(data, offline_cutoffs=None)
+
+
 # -- the one-stop consistency battery ----------------------------------------
 
 
@@ -495,6 +493,29 @@ def test_family_grid_equivalence_small(family):
             t, int(rng.choice([0, 5, 20])), seed=i, n_offline=inst.data.n_offline
         )
         assert check_instance(inst, perms, grid_points=40) == 0
+
+
+@pytest.mark.parametrize("test_cutoff", [-math.inf, math.inf], ids=["-inf", "+inf"])
+@pytest.mark.parametrize("family", ["conformal_fixed", "conformal_adaptive", "elond"])
+def test_cutoff_closed_form_matches_engine_at_an_infinite_test_cutoff(family, test_cutoff):
+    """A test cutoff of ±inf puts every finite candidate label on one side
+    of it and an infinite one of the same sign on the other: the two-sided
+    form still equals the engine label by label, ±inf labels included."""
+    rng = np.random.default_rng(FAMILIES.index(family))
+    checked = 0
+    for i in range(30):
+        t = int(rng.integers(2, 8))
+        inst = draw_instance(family, rng, t)
+        data = dataclasses.replace(inst.data, test_cutoff=test_cutoff)
+        if not inst.rule.select(data):
+            continue
+        perms = sample_permutations(t, 20, seed=i, n_offline=data.n_offline)
+        grid = np.concatenate([[-math.inf], np.linspace(data.y.min() - 3, data.y.max() + 3, 40), [math.inf]])
+        closed = fast._closed_form(data, inst.rule, inst.score, perms, inst.alpha)
+        generic = pemi_set_grid(grid, data, inst.rule, inst.score, perms, inst.alpha)
+        assert [closed.contains(float(y), inst.score, data.test_x) for y in grid] == generic.tolist()
+        checked += 1
+    assert checked >= 5  # +inf lifts the test point's p-value, so fewer draws are selected
 
 
 @pytest.mark.parametrize("family", FAMILIES)

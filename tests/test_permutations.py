@@ -99,7 +99,7 @@ def test_extended_range_includes_offline():
     assert sample.matrix.shape == (4, 5)
 
 
-# -- the replay step: imputed label and slot order ---------------------------
+# -- the replay step: slot order, the test label left NaN --------------------
 
 
 class EchoRule(SelectionRule):
@@ -115,31 +115,50 @@ class EchoRule(SelectionRule):
 
 def test_identity_application_roundtrip(rng):
     seq = make_sequence(rng, t=5)
-    values, labels, cutoffs, n_offline = EchoRule().replay(seq, 2.5)(None)
-    # the observed order keeps the test point in the final slot: no imputed
+    values, labels, cutoffs, n_offline = EchoRule().replay(seq)
+    # the observed order keeps the test point in the final slot: no NaN
     # label among the labeled slots, and the sequence comes back unchanged
     assert np.array_equal(values[:, 0], seq.full_x()[:, 0])
     assert np.array_equal(labels, seq.y)
     assert cutoffs is None and n_offline == 0
-    values, labels, _, _ = EchoRule().replay(seq, 2.5)(np.arange(5))
+    values, labels, _, _ = EchoRule().replay(seq, np.arange(5))
     assert np.array_equal(values[:, 0], seq.full_x()[:, 0]) and np.array_equal(labels, seq.y)
 
 
 def test_swap_t2():
     seq = DataSequence(x=[[1.0]], y=[4.0], test_x=[9.0])
-    values, labels, _, _ = EchoRule().replay(seq, -3.0)(np.array([1, 0]))
-    assert values[0, 0] == 9.0 and labels[0] == -3.0
+    values, labels, _, _ = EchoRule().replay(seq, np.array([1, 0]))
+    assert values[0, 0] == 9.0 and math.isnan(labels[0])
     assert values[1, 0] == 1.0
 
 
 def test_three_cycle_hand_applied():
     # slot s holds original index order[s]; order = (2, 0, 1) in 0-based slots
     seq = DataSequence(x=[[10.0], [20.0]], y=[1.0, 2.0], test_x=[30.0])
-    values, labels, _, _ = EchoRule().replay(seq, 0.5)(np.array([2, 0, 1]))
-    # slot 0 gets the test point with the imputed label, the final slot exposes x of point 1
-    assert values[0, 0] == 30.0 and labels[0] == 0.5
+    values, labels, _, _ = EchoRule().replay(seq, np.array([2, 0, 1]))
+    # slot 0 gets the test point with its NaN label, the final slot exposes x of point 1
+    assert values[0, 0] == 30.0 and math.isnan(labels[0])
     assert values[1, 0] == 10.0 and labels[1] == 1.0
     assert values[2, 0] == 20.0 and labels.shape == (2,)
+
+
+def test_a_matrix_of_orders_stacks_each_order_s_arguments(rng):
+    """An (R, n) matrix of orders gives, row by row, the arguments of each
+    order on its own: every value, label and cutoff where its order puts it,
+    and the test label NaN wherever it lands."""
+    seq = make_sequence(rng, t=4, cutoffs=True, n_offline=2)
+    orders = np.array([np.arange(6), [5, 0, 1, 2, 3, 4], [2, 5, 4, 0, 1, 3], [0, 1, 2, 3, 5, 4]])
+    values, labels, cutoffs, n_offline = EchoRule().replay(seq, orders)
+    assert (values.shape, labels.shape, cutoffs.shape, n_offline) == ((4, 6, 2), (4, 5), (4, 5), 2)
+    for r, order in enumerate(orders):
+        assert np.array_equal(values[r][:, 0], seq.full_x()[order, 0])
+        assert np.array_equal(values[r][:, 1], seq.full_cutoffs()[order])
+        assert np.array_equal(cutoffs[r], seq.full_cutoffs()[order[:-1]])
+        assert np.array_equal(labels[r], seq.full_y()[order[:-1]], equal_nan=True)
+        assert np.isnan(labels[r]).tolist() == (order[:-1] == 5).tolist()
+        row = EchoRule().replay(seq, order)
+        for a, b in zip(row[:3], (values[r], labels[r], cutoffs[r])):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_domain_mismatch_rejected(rng):
@@ -150,7 +169,7 @@ def test_domain_mismatch_rejected(rng):
 
 def test_cutoffs_travel_with_points(rng):
     seq = make_sequence(rng, t=3, cutoffs=True)
-    values, _, cutoffs, _ = EchoRule().replay(seq, 0.0)(np.array([2, 0, 1]))
+    values, _, cutoffs, _ = EchoRule().replay(seq, np.array([2, 0, 1]))
     assert cutoffs[0] == seq.test_cutoff and cutoffs[1] == seq.cutoffs[0]
     assert values[0, 1] == seq.test_cutoff
     assert values[2, 1] == seq.cutoffs[1]  # the final slot's cutoff reaches its value
@@ -159,9 +178,9 @@ def test_cutoffs_travel_with_points(rng):
 def test_offline_slots_keep_designation(rng):
     seq = make_sequence(rng, t=3, n_offline=2)
     order = np.array([4, 1, 0, 2, 3])
-    values, labels, _, n_offline = EchoRule().replay(seq, 1.5)(order)
+    values, labels, _, n_offline = EchoRule().replay(seq, order)
     assert n_offline == 2
-    assert labels[0] == 1.5  # test point moved into the first offline slot
+    assert math.isnan(labels[0])  # test point moved into the first offline slot
     assert values[0, 0] == seq.test_x[0] and values.shape[0] == 5 and labels.shape == (4,)
 
 
@@ -172,15 +191,11 @@ def test_full_cutoffs_is_read_only_and_checks_the_offline_block():
     assert seq.full_cutoffs() is cut
     with pytest.raises(ValueError):
         cut[0] = 1.0
-    no_offline_cutoffs = DataSequence(
-        x=[[0.0]], y=[0.0], test_x=[2.0], cutoffs=[0.5], test_cutoff=0.7,
-        offline_x=[[3.0]], offline_y=[3.0],
-    )
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            no_offline_cutoffs.full_cutoffs()
-    with pytest.raises(DomainError):
-        EchoRule().replay(no_offline_cutoffs, 0.0)
+    with pytest.raises(DomainError, match="offline cutoffs missing"):
+        DataSequence(
+            x=[[0.0]], y=[0.0], test_x=[2.0], cutoffs=[0.5], test_cutoff=0.7,
+            offline_x=[[3.0]], offline_y=[3.0],
+        )
 
 
 NAN, INF = math.nan, math.inf

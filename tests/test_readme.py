@@ -4,7 +4,8 @@ from pathlib import Path
 
 from pemi import cli, experiment
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_tour_runs_as_written(capsys):
@@ -31,3 +32,12 @@ def test_the_cli_section_lists_the_run_flags():
     flags = [s for a in sub.choices["run"]._actions for s in a.option_strings if s not in ("-h", "--help")]
     line = re.search(r"^`pemi run` flags: .*$", README.read_text(encoding="utf-8"), re.M).group(0)
     assert re.findall(r"`(--\w+)`", line) == flags
+
+
+def test_the_module_table_names_every_module():
+    """Each first cell of the README's module table names one or more
+    ``pemi.*`` modules; together they are the package's modules."""
+    table = README.read_text(encoding="utf-8").split("Key modules:", 1)[1].split("\n\n", 2)[1]
+    named = [m for row in re.findall(r"^\| ([^|]*)\|", table, re.M) for m in re.findall(r"`pemi\.(\w+)`", row)]
+    modules = sorted(f.stem for f in (ROOT / "src" / "pemi").glob("*.py") if f.stem != "__init__")
+    assert sorted(named) == modules

@@ -23,12 +23,11 @@ from pemi.rules import (
     recency_weights,
     weighted_pvalue_history,
 )
-from pemi.quantiles import weighted_quantile
 from pemi.scores import LinearModel
 from pemi.thresholds import FixedThreshold, LondEngine, default_gamma
 from pemi.types import DataSequence
 
-from conftest import make_sequence, prefix
+from conftest import make_sequence, prefix, weighted_quantile
 
 MU = LinearModel(intercept=0.0, coef=(1.0,))  # identity on 1-d features
 
@@ -449,20 +448,24 @@ def test_elond_negative_gamma_rejected_like_lond():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_decide_rows_is_decide_on_each_row_bit_for_bit(family, M):
     """The engine decides all sampled rows of a label in one ``decide_rows``
-    call; ``decide`` on each row is the reference it must reproduce."""
+    call; ``decide`` on each row is the reference it must reproduce.  The
+    replay leaves the test label NaN, so each candidate label is written
+    where a row holds it, as the engine does."""
     rng = np.random.default_rng(700 + 10 * FAMILIES.index(family) + M)
     for t in (2, 5, 7):
         inst = draw_instance(family, rng, t)
         data, rule = inst.data, inst.rule
         perms = sample_permutations(t, M, seed=int(rng.integers(2**31)), n_offline=data.n_offline)
-        labels = [float(v) for v in rng.normal(size=3)]
+        candidates = [float(v) for v in rng.normal(size=3)]
         if data.test_cutoff is not None:  # the imputed label on its own cutoff
-            labels.append(data.test_cutoff)
-        for y in labels:
-            arguments = rule.replay(data, y)
-            rows = rule.decide_rows(*arguments(perms.matrix))
+            candidates.append(data.test_cutoff)
+        values, labels, cutoffs, n_offline = rule.replay(data, perms.matrix)
+        singles = [rule.replay(data, order) for order in perms.matrix]
+        for y in candidates:
+            rows = rule.decide_rows(values, np.where(np.isnan(labels), y, labels), cutoffs, n_offline)
             assert rows.dtype == bool and rows.shape == (M,)
-            assert np.array_equal(rows, [rule.decide(*arguments(order)) for order in perms.matrix])
+            expect = [rule.decide(v, np.where(np.isnan(lab), y, lab), c, n) for v, lab, c, n in singles]
+            assert np.array_equal(rows, expect)
 
 
 @pytest.mark.parametrize("R", [1, 200])

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pemi.experiment import ColumnModel, CutoffScoreFromModel
+from pemi.experiment import ColumnModel
 from pemi.generators import GeneratorConfig, TrueMeanModel, generate
-from pemi.rules import UncertaintyBudgetRule
+from pemi.rules import CutoffScoreFromModel, UncertaintyBudgetRule
 from pemi.scores import AbsoluteResidualScore, LinearModel, fit_linear_model
 from pemi.sets import (
     CutoffPiecewiseSet,
