@@ -9,6 +9,7 @@ exhaustive enumeration with the sample replaced by all orderings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,7 +153,7 @@ def draw_instance(family: str, rng: np.random.Generator, t: int) -> Instance:
 def _label_grid(inst: Instance, n_points: int) -> np.ndarray:
     data = inst.data
     anchor = [float(v) for v in data.y] + [0.0]
-    if data.test_cutoff is not None:
+    if data.test_cutoff is not None and math.isfinite(data.test_cutoff):
         anchor.append(data.test_cutoff)
     lo, hi = min(anchor) - 2.0, max(anchor) + 2.0
     grid = np.linspace(lo, hi, n_points)

@@ -12,14 +12,16 @@ A rule's point values depend on each point alone and read no label, so
 the label-free part of a replay is built once per sequence, rule and
 sample (``rule.replay`` on the whole sample: one gather of every sampled
 row's arguments with the test label NaN, and where each row keeps it) and
-kept in a one-slot memo, as are the labeled points' scores per sequence
-and score, which the closed forms of ``pemi.fast`` read too.  Each
+kept in a one-slot memo, as are, per sequence and score, the labeled
+points' scores, which the closed forms of ``pemi.fast`` read too, and the
+test point's score as a function of its label (``score.at``).  Each
 candidate label then only writes itself into the test label's places,
 the one place a label is imputed, and decides every row in one
 ``rule.decide_rows`` call (the cutoff and earlier-outcome kernels take
 the whole batch), so every label is still decided by the rule itself;
-its score is the one score computed per label.  The earlier-outcome
-closed form reads its two side masks from ``reference_mask`` itself.
+its score is the test point's ``of`` at that label, which calls no
+model.  The earlier-outcome closed form reads its two side masks from
+``reference_mask`` itself.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .quantiles import exceeds_level
 from .rules import SelectionRule, SelectionTaxonomy
-from .scores import ConformityScore, LastPointScore
+from .scores import ConformityScore, LastPointScore, PointScore
 from .types import DataSequence, MultiTestData, PermutationSample
 
 __all__ = [
@@ -128,6 +130,12 @@ def _labeled_scores(data: DataSequence, score: LastPointScore) -> np.ndarray:
     return scores
 
 
+@_one_slot_memo
+def _test_point(data: DataSequence, score: LastPointScore) -> PointScore:
+    """The test point's score as a function of its label."""
+    return score.at(data.full_x()[-1])
+
+
 def reference_mask(
     y: float,
     data: DataSequence,
@@ -169,8 +177,8 @@ def _scores_for(
 ) -> tuple[float, np.ndarray]:
     """Conformity score of the identity and of each permuted sequence of the rows ``mask`` keeps."""
     if isinstance(score, LastPointScore):
-        # the labeled points' scores are label-free: only the test point's is computed per label
-        point_scores = np.append(_labeled_scores(data, score), score.of_point(data.test_x, y))
+        # the labeled points' scores are label-free: only the test point's is read per label
+        point_scores = np.append(_labeled_scores(data, score), _test_point(data, score).of(y))
         return float(point_scores[-1]), point_scores[perms.matrix[mask, -1]]
     # order-sensitive score: materialize each permuted labeled sequence
     full_x = data.full_x()
@@ -295,15 +303,13 @@ class _TestSlotRule(SelectionRule):
         return self.j in self.rule.select(values[:-1], labels, test_x)
 
 
-def _single_test(
-    data: MultiTestData, j: int, rule: MultiTestRule, perms: PermutationSample | None = None
-) -> tuple[DataSequence, SelectionRule]:
+@_one_slot_memo
+def _single_test(data: MultiTestData, j: int, rule: MultiTestRule) -> tuple[DataSequence, SelectionRule]:
     """Test index ``j`` as a single-test problem: the calibration points are
-    the labeled history and test point ``j`` the test slot."""
+    the labeled history and test point ``j`` the test slot.  Built once per
+    identity of its arguments, so a label grid replays one sequence and rule."""
     if not 0 <= j < data.m:
         raise DomainError(f"test index {j} outside 0..{data.m - 1}")
-    if perms is not None and perms.n_points != data.n + 1:
-        raise DomainError("permutations must act on the calibration points plus one test point")
     seq = DataSequence(x=data.calib_x, y=data.calib_y, test_x=data.test_x[j])
     return seq, _TestSlotRule(rule, j, data.test_x)
 
@@ -323,7 +329,7 @@ def multi_test_pvalue(
     other test covariates are held fixed.  Precondition: ``j`` is in the
     observed selection (checked unless ``require_selected=False``).
     """
-    seq, single = _single_test(data, j, rule, perms)
+    seq, single = _single_test(data, j, rule)
     if require_selected and j not in rule.select(data.calib_x, data.calib_y, data.test_x):
         raise PreconditionError(f"test index {j} was not selected on the observed data")
     return pemi_pvalue(y, seq, single, score, perms)

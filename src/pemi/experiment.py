@@ -47,7 +47,7 @@ from .rules import (
 )
 from .scores import AbsoluteResidualScore, LastPointScore, fit_linear_model
 from .sets import ThresholdSet
-from .thresholds import FixedThreshold, LondEngine
+from .thresholds import FixedThreshold, LondEngine, lond_threshold
 from .types import DataSequence
 
 __all__ = [
@@ -309,9 +309,9 @@ def _resolve_cutoff(spec: dict | None, gen: GeneratorConfig | None) -> float | N
 
 
 def _lond_reaches_floor(lond: LondEngine | ELondRule, T: int, floor: Callable[[int], float]) -> bool:
-    """Whether some step t <= T has a LOND level ``alpha * gamma_t * t`` (every
-    earlier step a discovery) at or above ``floor(t)``, the least p-value step t can see."""
-    return any(lond.alpha * lond.gamma(t) * t >= floor(t) for t in range(1, T + 1))
+    """Whether some step t <= T has a LOND level (every earlier step a
+    discovery) at or above ``floor(t)``, the least p-value step t can see."""
+    return any(lond_threshold(lond.alpha, lond.gamma(t), t - 1) >= floor(t) for t in range(1, T + 1))
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,6 @@ def multi_test_threshold_set(
     """Single-threshold set for rules whose selection ignores labels."""
     if not rule.covariate_only:
         raise ConfigurationError("threshold form needs a label-free multi-test rule")
-    seq, single = _single_test(data, j, rule, perms)
+    seq, single = _single_test(data, j, rule)
     sel = reference_mask(0.0, seq, single, perms)  # imputed label unused
     return _calibration(score.of_points(data.calib_x, data.calib_y), perms, sel).threshold(alpha)

@@ -145,7 +145,9 @@ class SelectionRule(abc.ABC):
         are evaluated once, and a point's value depends on that point alone,
         so reordering only indexes the slot-order values, labels and
         cutoffs.  No label is imputed: the test label stays NaN, as
-        ``full_y`` holds it, wherever ``order`` puts it.
+        ``full_y`` holds it, wherever ``order`` puts it.  A NaN point value
+        is a ``DomainError``; ±inf are values like any other (a cutoff
+        score at an infinite cutoff).
         """
         cut = data.full_cutoffs()
         n_offline = data.n_offline
@@ -156,6 +158,8 @@ class SelectionRule(abc.ABC):
         if self.online_only and n_offline:
             raise ConfigurationError("this rule runs on online slots only")
         values = self.point_values(data.full_x(), cut)
+        if np.isnan(values).any():
+            raise DomainError("a point value of the selection rule (its model output) is NaN")
         labels = data.full_y()
         if order is None:
             return values, labels[:-1], None if cut is None else cut[:-1], n_offline

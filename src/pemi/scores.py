@@ -3,7 +3,11 @@
 A score is order-sensitive in general (``of_sequence``).  The closed-form
 prediction-set paths additionally require a *last-point* score ``v(x, y)``
 together with its sublevel-set inverter ``{y : v(x, y) <= tau}`` returned
-as a finite union of closed intervals.
+as a finite union of closed intervals.  At a fixed covariate row a
+last-point score is a function of the label alone: ``at(x)`` evaluates the
+model once and returns that function (a ``PointScore``), whose ``of`` and
+``sublevel`` then read no model.  A model output that is not finite is a
+``DomainError`` where it enters.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "ConformityScore",
     "LastPointScore",
+    "PointScore",
     "AbsoluteResidualScore",
     "LinearModel",
     "fit_linear_model",
@@ -66,22 +73,39 @@ class ConformityScore(abc.ABC):
         """Score of the full ordered sequence (last entry = test point)."""
 
 
+class PointScore(abc.ABC):
+    """A last-point score at one fixed covariate row: a function of the label alone."""
+
+    @abc.abstractmethod
+    def of(self, y: float) -> float: ...
+
+    @abc.abstractmethod
+    def sublevel(self, tau: float) -> Intervals:
+        """{y : of(y) <= tau} as a finite union of closed intervals."""
+
+
 class LastPointScore(ConformityScore):
     """A score that reads only the final data point.
 
-    Subclasses provide the pointwise value and the exact sublevel set in
-    label space; batch evaluation has a generic fallback.  A score is an
-    immutable value whose points score alone: the engine scores a
-    sequence's labeled points once per identity of the sequence and score,
-    and only the test point once per candidate label.
+    Subclasses provide ``at(x)``, the score at covariate row ``x`` as a
+    function of the label; the pointwise value and the exact sublevel set
+    in label space are read from it, and batch evaluation has a generic
+    fallback.  A score is an immutable value whose points score alone: the
+    engine scores a sequence's labeled points once and evaluates the test
+    point's ``at`` once per identity of the sequence and score, and each
+    candidate label then only reads ``of``.
     """
 
     @abc.abstractmethod
-    def of_point(self, x: np.ndarray, y: float) -> float: ...
+    def at(self, x: np.ndarray) -> PointScore:
+        """The score at covariate row ``x``, with the model evaluated once."""
 
-    @abc.abstractmethod
+    def of_point(self, x: np.ndarray, y: float) -> float:
+        return self.at(x).of(y)
+
     def sublevel(self, x: np.ndarray, tau: float) -> Intervals:
         """{y : v(x, y) <= tau} as a finite union of closed intervals."""
+        return self.at(x).sublevel(tau)
 
     def of_points(self, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.array([self.of_point(x, float(y)) for x, y in zip(X, ys)])
@@ -90,24 +114,41 @@ class LastPointScore(ConformityScore):
         return self.of_point(xs[-1], float(ys[-1]))
 
 
+def _finite_output(pred: np.ndarray) -> np.ndarray:
+    if not np.isfinite(pred).all():
+        raise DomainError("the score's model output must be finite")
+    return pred
+
+
 @dataclass(frozen=True)
-class AbsoluteResidualScore(LastPointScore):
-    """v(x, y) = |y - model(x)|; sublevel sets are symmetric intervals."""
+class ResidualAt(PointScore):
+    """|y - mu| at a row whose model output is ``mu``; sublevel sets are symmetric intervals."""
 
-    model: ModelFn
+    mu: float
 
-    def of_point(self, x: np.ndarray, y: float) -> float:
-        return abs(y - float(self.model(np.asarray(x).reshape(1, -1))[0]))
+    def of(self, y: float) -> float:
+        return abs(y - self.mu)
 
-    def of_points(self, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if X.shape[0] == 0:
-            return np.empty(0)
-        return np.abs(np.asarray(ys, dtype=float) - self.model(X))
-
-    def sublevel(self, x: np.ndarray, tau: float) -> Intervals:
+    def sublevel(self, tau: float) -> Intervals:
         if tau < 0 or math.isnan(tau):
             return ()
         if math.isinf(tau):
             return ((-math.inf, math.inf),)
-        mu = float(self.model(np.asarray(x).reshape(1, -1))[0])
-        return ((mu - tau, mu + tau),)
+        return ((self.mu - tau, self.mu + tau),)
+
+
+@dataclass(frozen=True)
+class AbsoluteResidualScore(LastPointScore):
+    """v(x, y) = |y - model(x)|."""
+
+    model: ModelFn
+
+    def at(self, x: np.ndarray) -> ResidualAt:
+        # one (1, d) row, as every caller scores a single point: a row sliced from a
+        # batch evaluation of another shape can round differently
+        return ResidualAt(float(_finite_output(self.model(np.asarray(x).reshape(1, -1)))[0]))
+
+    def of_points(self, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        if X.shape[0] == 0:
+            return np.empty(0)
+        return np.abs(np.asarray(ys, dtype=float) - _finite_output(self.model(X)))

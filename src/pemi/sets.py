@@ -3,7 +3,8 @@
 A descriptor records the *shape* of a prediction set (thresholds on a
 last-point score); membership, intervals, and Lebesgue measure are
 obtained by pushing it through the score's sublevel-set inverter at the
-test covariates.
+test covariates.  A set of several pieces evaluates the score at the test
+covariates once (``score.at``) and inverts each piece's threshold on it.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ class CutoffPiecewiseSet:
         return score.of_point(x, y) <= q
 
     def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals:
-        below = _clip(score.sublevel(x, self.q_below), -math.inf, self.cutoff)
-        above = _clip(score.sublevel(x, self.q_above), self.cutoff, math.inf)
+        at = score.at(x)
+        below = _clip(at.sublevel(self.q_below), -math.inf, self.cutoff)
+        above = _clip(at.sublevel(self.q_above), self.cutoff, math.inf)
         return below + above
 
     def measure(self, score: LastPointScore, x: np.ndarray) -> float:
@@ -115,9 +117,10 @@ class IntervalUnionSet:
 
     def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals:
         pieces: list[tuple[float, float]] = []
+        at = score.at(x)
         bounds = (-math.inf, *self.breakpoints, math.inf)
         for j, tau in enumerate(self.thresholds):
-            pieces.extend(_clip(score.sublevel(x, tau), bounds[j], bounds[j + 1]))
+            pieces.extend(_clip(at.sublevel(tau), bounds[j], bounds[j + 1]))
         for b, inc in zip(self.breakpoints, self.boundary_included):
             if inc:
                 pieces.append((b, b))

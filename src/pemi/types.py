@@ -178,7 +178,7 @@ class PermutationSample:
 
 @dataclass(frozen=True)
 class MultiTestData:
-    """Calibration data plus several unlabeled test points."""
+    """Calibration data plus several unlabeled test points, held as read-only copies."""
 
     calib_x: np.ndarray
     calib_y: np.ndarray
@@ -194,9 +194,11 @@ class MultiTestData:
             raise DomainError("feature dimension differs between calibration and test")
         if not all(np.all(np.isfinite(a)) for a in (cx, cy, tx)):
             raise DomainError("calibration and test data must be finite")
-        object.__setattr__(self, "calib_x", cx)
-        object.__setattr__(self, "calib_y", cy)
-        object.__setattr__(self, "test_x", tx)
+        # The engine keeps what it builds from this data by the data's identity: own read-only copies.
+        for name, arr in (("calib_x", cx), ("calib_y", cy), ("test_x", tx)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ from pemi.engine import (
     reference_mask,
 )
 from pemi.errors import ConfigurationError, DomainError, PreconditionError
-from pemi.fast import multi_test_threshold_set
+from pemi.fast import covariate_set, earlier_outcome_set, multi_test_threshold_set
 from pemi.oracle import all_orders_sample, jomi_multi_test_set
 from pemi.permutations import sample_permutations
 from pemi.rules import (
@@ -281,8 +281,8 @@ def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
 
 
 def _cold(monkeypatch):
-    """Empty both engine memo slots: the next call builds from scratch."""
-    for memo in (engine._replayed, engine._labeled_scores):
+    """Empty the engine's memo slots: the next call builds from scratch."""
+    for memo in (engine._replayed, engine._labeled_scores, engine._test_point):
         monkeypatch.setattr(memo, "last", None)
 
 
@@ -291,32 +291,35 @@ def _counts(p):
 
 
 def test_label_free_replay_is_built_once_per_argument_identity(monkeypatch):
-    """A grid of labels replays the rule and scores the labeled points once;
-    an equal but distinct sequence, rule, sample or score builds again."""
+    """A grid of labels replays the rule, scores the labeled points and
+    evaluates the test point's score once; an equal but distinct sequence,
+    rule, sample or score builds again."""
     inst = draw_instance("earlier_outcome", np.random.default_rng(3), 6)
     data, rule, score = inst.data, inst.rule, inst.score
     perms = sample_permutations(6, 30, seed=4)
     _cold(monkeypatch)
-    replays, scorings = [], []
+    replays, scorings, test_points = [], [], []
     point_values, of_points = EarlierOutcomeRule.point_values, AbsoluteResidualScore.of_points
+    at = AbsoluteResidualScore.at
     monkeypatch.setattr(EarlierOutcomeRule, "point_values", lambda *a: replays.append(a) or point_values(*a))
     monkeypatch.setattr(AbsoluteResidualScore, "of_points", lambda *a: scorings.append(a) or of_points(*a))
+    monkeypatch.setattr(AbsoluteResidualScore, "at", lambda *a: test_points.append(a) or at(*a))
     pemi_set_grid(np.linspace(-3.0, 3.0, 20), data, rule, score, perms, inst.alpha)
-    assert (len(replays), len(scorings)) == (1, 1)
+    assert (len(replays), len(scorings), len(test_points)) == (1, 1, 1)
     args = dict(data=data, rule=rule, score=score, perms=perms)
     p = pemi_pvalue(0.5, **args)
     twins = {
-        "data": (dataclasses.replace(data), (1, 1)),
-        "rule": (dataclasses.replace(rule), (1, 0)),
-        "perms": (sample_permutations(6, 30, seed=4), (1, 0)),
-        "score": (dataclasses.replace(score), (0, 1)),
+        "data": (dataclasses.replace(data), (1, 1, 1)),
+        "rule": (dataclasses.replace(rule), (1, 0, 0)),
+        "perms": (sample_permutations(6, 30, seed=4), (1, 0, 0)),
+        "score": (dataclasses.replace(score), (0, 1, 1)),
     }
     for name, (twin, rebuilt) in twins.items():
         pemi_pvalue(0.5, **args)
-        replays.clear()
-        scorings.clear()
+        for calls in (replays, scorings, test_points):
+            calls.clear()
         assert pemi_pvalue(0.5, **{**args, name: twin}) == p
-        assert (len(replays), len(scorings)) == rebuilt, name
+        assert (len(replays), len(scorings), len(test_points)) == rebuilt, name
 
 
 def test_interleaved_rules_and_scores_each_match_a_fresh_evaluation(monkeypatch):
@@ -394,6 +397,50 @@ def test_a_nan_label_is_a_domain_error_where_it_enters(family):
     # labels below and above every other stay candidates
     for y in (-math.inf, math.inf):
         assert reference_mask(y, inst.data, inst.rule, perms).shape == (perms.m,)
+
+
+# -- non-finite model outputs ---------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class NanAboveOne:
+    """The first covariate, NaN where it exceeds 1."""
+
+    def __call__(self, X):
+        x = np.asarray(X, dtype=float).reshape(-1, 2)[:, 0]
+        return np.where(x > 1, np.nan, x)
+
+
+def _with_outputs_above_one(t=30, seed=80):
+    data = make_sequence(np.random.default_rng(seed), t=t)
+    assert (data.x[:, 0] > 1).any()
+    return data, sample_permutations(t, 50, seed=seed)
+
+
+def test_a_nan_score_model_output_is_a_domain_error():
+    data, perms = _with_outputs_above_one()
+    score = AbsoluteResidualScore(NanAboveOne())
+    with pytest.raises(DomainError, match="score's model output"):
+        covariate_set(data, AlwaysSelectRule(), score, perms, 0.3)
+    with pytest.raises(DomainError, match="score's model output"):
+        pemi_pvalue(0.0, data, AlwaysSelectRule(), score, perms)
+
+
+def test_a_nan_covariate_rule_model_output_is_a_domain_error():
+    data, perms = _with_outputs_above_one()
+    rule = WeightedPredictionRule(mu=NanAboveOne(), q_sel=0.3)
+    with pytest.raises(DomainError, match="model output"):
+        rule.select(data)
+    with pytest.raises(DomainError, match="model output"):
+        pemi_pvalue(0.0, data, rule, AbsoluteResidualScore(MU), perms)
+
+
+def test_a_nan_earlier_outcome_model_output_is_named_as_one():
+    data, perms = _with_outputs_above_one()
+    rule = EarlierOutcomeRule(mu=NanAboveOne(), beta_sel=0.5)
+    with pytest.raises(DomainError, match="model output") as caught:
+        earlier_outcome_set(data, rule, AbsoluteResidualScore(MU), perms, 0.3)
+    assert "candidate label" not in str(caught.value)
 
 
 # -- multiple test points -----------------------------------------------------
@@ -481,6 +528,23 @@ def test_multi_test_pvalue_matches_a_loop_over_the_slot_mapping(residual_score):
                         )
                         want = _loop_multi_test_pvalue(float(y), data, j, rule, residual_score, perms)
                         assert (p.value, p.ref_size, p.exceed_count) == want
+
+
+def test_a_multi_test_label_grid_replays_once_and_scores_each_point_once(monkeypatch):
+    data = _mt_data(np.random.default_rng(72), n=6, m=3)
+    assert not any(a.flags.writeable for a in (data.calib_x, data.calib_y, data.test_x))
+    rule = TopPredictionRule(mu=MU, k=1)
+    (j,) = rule.select(data.calib_x, data.calib_y, data.test_x)
+    perms = sample_permutations(data.n + 1, 25, seed=8)
+    builds, model_calls = [], []
+    build = engine._replayed.__wrapped__
+    monkeypatch.setattr(engine, "_replayed", engine._one_slot_memo(lambda *a: builds.append(1) or build(*a)))
+    score = AbsoluteResidualScore(lambda X: model_calls.append(1) or MU(X))
+    grid = np.linspace(-3.0, 3.0, 20)
+    got = [multi_test_pvalue(float(y), data, j, rule, score, perms) for y in grid]
+    assert (len(builds), len(model_calls)) == (1, 2)
+    for y, p in zip(grid, got):
+        assert (p.value, p.ref_size, p.exceed_count) == _loop_multi_test_pvalue(float(y), data, j, rule, score, perms)
 
 
 def test_multi_test_threshold_matches_grid(rng, residual_score):

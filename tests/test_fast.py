@@ -518,6 +518,21 @@ def test_cutoff_closed_form_matches_engine_at_an_infinite_test_cutoff(family, te
     assert checked >= 5  # +inf lifts the test point's p-value, so fewer draws are selected
 
 
+@pytest.mark.parametrize("test_cutoff", [-math.inf, math.inf])
+def test_the_battery_checks_an_instance_at_an_infinite_test_cutoff(test_cutoff):
+    """The battery's label grid spans the finite labels and cutoffs only, so
+    an infinite test cutoff is checked like any other."""
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        inst = draw_instance("conformal_fixed", rng, 5)
+        inst = dataclasses.replace(inst, data=dataclasses.replace(inst.data, test_cutoff=test_cutoff))
+        if inst.rule.select(inst.data):
+            break
+    else:
+        pytest.fail("no selected instance")
+    assert check_instance(inst, sample_permutations(5, 20, seed=3)) == 0
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=40)
 @given(t=st.integers(2, 6), m=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))

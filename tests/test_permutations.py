@@ -103,11 +103,12 @@ def test_extended_range_includes_offline():
 
 
 class EchoRule(SelectionRule):
-    """A point's value is its first covariate beside its cutoff (NaN without
-    cutoffs), so the replayed arguments show where every point went."""
+    """A point's value is its first covariate beside its cutoff (+inf without
+    cutoffs: a NaN point value is rejected), so the replayed arguments show
+    where every point went."""
 
     def point_values(self, X, cutoffs=None):
-        return np.column_stack([X[:, 0], np.full(X.shape[0], np.nan) if cutoffs is None else cutoffs])
+        return np.column_stack([X[:, 0], np.full(X.shape[0], np.inf) if cutoffs is None else cutoffs])
 
     def decide(self, values, labels, cutoffs, n_offline):
         return True
