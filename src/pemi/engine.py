@@ -13,14 +13,18 @@ the label-free part of a replay is built once per sequence, rule and
 sample (``rule.replay`` on the whole sample: one gather of every sampled
 row's arguments with the test label NaN, and where each row keeps it) and
 kept in a one-slot memo, as are, per sequence and score, the labeled
-points' scores, which the closed forms of ``pemi.fast`` read too, and the
-test point's score as a function of its label (``score.at``).  Each
-candidate label then only writes itself into the test label's places,
-the one place a label is imputed, and decides every row in one
+points' scores and the test point's score as a function of its label
+(``score.at``), and, per sequence, score and sample, the labeled score
+each sampled row carries into the test slot and whether it moved a point
+there (``_carried``), which the closed forms of ``pemi.fast`` read too.
+Each candidate label then only writes itself into the test label's
+places, the one place a label is imputed, and decides every row in one
 ``rule.decide_rows`` call (the cutoff and earlier-outcome kernels take
 the whole batch), so every label is still decided by the rule itself;
 its score is the test point's ``of`` at that label, which calls no
-model.  The earlier-outcome closed form reads its two side masks from
+model, and is counted against the carried scores of the members that
+moved a point into the test slot, the other members tying with it.  The
+earlier-outcome closed form reads its two side masks from
 ``reference_mask`` itself.
 """
 
@@ -136,6 +140,22 @@ def _test_point(data: DataSequence, score: LastPointScore) -> PointScore:
     return score.at(data.full_x()[-1])
 
 
+@_one_slot_memo
+def _carried(data: DataSequence, score: LastPointScore, perms: PermutationSample) -> tuple[np.ndarray, np.ndarray]:
+    """Per sampled row, the labeled score it carries into the test slot and
+    whether it moved a labeled point there, read-only.  A row that keeps
+    the test point in place carries the test point's own score, which
+    depends on the label: its entry is NaN and never read."""
+    _check_domain(data, perms)
+    last = perms.matrix[:, -1]
+    moved = last != data.n_slots - 1
+    carried = np.full(perms.m, math.nan)
+    carried[moved] = _labeled_scores(data, score)[last[moved]]
+    for a in (carried, moved):
+        a.setflags(write=False)
+    return carried, moved
+
+
 def reference_mask(
     y: float,
     data: DataSequence,
@@ -175,11 +195,13 @@ def _scores_for(
     perms: PermutationSample,
     mask: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Conformity score of the identity and of each permuted sequence of the rows ``mask`` keeps."""
+    """Conformity score of the identity and of each permuted sequence of the
+    rows ``mask`` keeps, but for a last-point score only of the rows that
+    moved a labeled point into the test slot: the others score as the
+    identity does."""
     if isinstance(score, LastPointScore):
-        # the labeled points' scores are label-free: only the test point's is read per label
-        point_scores = np.append(_labeled_scores(data, score), _test_point(data, score).of(y))
-        return float(point_scores[-1]), point_scores[perms.matrix[mask, -1]]
+        carried, moved = _carried(data, score, perms)
+        return _test_point(data, score).of(y), carried[mask & moved]
     # order-sensitive score: materialize each permuted labeled sequence
     full_x = data.full_x()
     full_y = data.full_y()
@@ -215,12 +237,15 @@ def pemi_pvalue(
         raise DomainError(f"tie-break uniform must be in [0,1], got {u}")
     mask = reference_mask(y, data, rule, perms, taxonomy)
     v0, vals = _scores_for(y, data, score, perms, mask)
-    ref_size = 1 + int(mask.sum())
+    members = int(np.count_nonzero(mask))
+    ref_size = 1 + members
+    # the identity and the members ``vals`` leaves out (they kept the test point in place) score v0
+    same = 1 + members - vals.shape[0]
     if u is None:
-        exceed = 1 + int(np.sum(v0 <= vals))  # identity tie with itself included
+        exceed = same + int(np.count_nonzero(v0 <= vals))
         return SelectionPValue(value=exceed / ref_size, ref_size=ref_size, exceed_count=exceed)
-    strict = int(np.sum(v0 < vals))
-    ties = 1 + int(np.sum(v0 == vals))  # identity always ties with itself
+    strict = int(np.count_nonzero(v0 < vals))
+    ties = same + int(np.count_nonzero(v0 == vals))
     return SelectionPValue(
         value=(strict + u * ties) / ref_size,
         ref_size=ref_size,

@@ -20,12 +20,16 @@ checks the permutations against the sequence, gets the observed
 arguments of ``decide`` from ``rule.replay(data)`` as the generic engine
 does (which is where a rule's needs, such as cutoffs or an offline block,
 are enforced), checks that the rule selects the observed point, and takes
-the labeled points' scores from the engine's memo, so a closed form and
-the engine's p-values of one step score them once between them.
+the score each sampled row carries into the test slot from the engine's
+memo (``_carried``), so a closed form and the engine's p-values of one
+step score the labeled points once between them.
 Every construction builds a selection-preserving reference mask and then
 takes one calibration step, ``_calibration``: the rank-
 ``ceil((1-alpha)*ref_size)`` score among the members that moved a labeled
-point into the test slot (``CalibrationDetail.threshold``).  Each path is
+point into the test slot (``CalibrationDetail.threshold``).  The
+earlier-outcome form stacks the references of all its intervals and
+reads every interval's rank from one sort, through the same
+``kth_smallest_or_inf`` and ``coverage_rank``.  Each path is
 verified against the generic engine by the test suite; the arithmetic
 routes through the rules' own kernels, never a copy of a rule's formula,
 so both routes see identical floating-point values.  ``_closed_form`` is
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MultiTestRule, _check_domain, _labeled_scores, _one_slot_memo, _single_test
+from .engine import MultiTestRule, _carried, _check_domain, _one_slot_memo, _single_test
 from .engine import pemi_pvalue, reference_mask
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .quantiles import coverage_rank, kth_smallest_or_inf
@@ -98,26 +102,24 @@ class CalibrationDetail:
 
 def _observed(
     data: DataSequence, rule: SelectionRule, score: LastPointScore, perms: PermutationSample
-) -> tuple[tuple, np.ndarray]:
-    """The observed ``decide`` arguments and the labeled points' scores
-    (the engine's, read-only), once ``perms`` acts on ``data``, the rule
-    can run on it and the rule selects the observed point."""
+) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
+    """The observed ``decide`` arguments and the scores the sampled rows
+    carry into the test slot (the engine's ``_carried``, read-only), once
+    ``perms`` acts on ``data``, the rule can run on it and the rule
+    selects the observed point."""
     _check_domain(data, perms)
     observed = rule.replay(data)
     if not rule.decide(*observed):
         raise PreconditionError("the observed point was not selected")
-    return observed, _labeled_scores(data, score)
+    return observed, _carried(data, score, perms)
 
 
-def _calibration(
-    point_scores: np.ndarray, perms: PermutationSample, sel: np.ndarray
-) -> CalibrationDetail:
-    """The reference of the sampled rows ``sel`` plus the identity; the test
-    point sits in the last slot, so rows keeping it there add no score and
-    the others index only the labeled points' ``point_scores``."""
-    last = perms.matrix[:, -1]
-    moved = sel & (last != perms.n_points - 1)
-    return CalibrationDetail(ref_size=1 + int(sel.sum()), moved_scores=point_scores[last[moved]])
+def _calibration(carried: tuple[np.ndarray, np.ndarray], sel: np.ndarray) -> CalibrationDetail:
+    """The reference of the sampled rows ``sel`` plus the identity; rows
+    keeping the test point in the last slot add no score, the others the
+    labeled score they carry there (``carried``, from ``_observed``)."""
+    scores, moved = carried
+    return CalibrationDetail(ref_size=1 + int(np.count_nonzero(sel)), moved_scores=scores[sel & moved])
 
 
 def _closed_form(
@@ -163,7 +165,7 @@ def _covariate_reference(
     through which a replacement or a tracer reaches them.  A rule that
     does not select the observed point raises on every call.
     """
-    (values, *_), point_scores = _observed(data, rule, score, perms)
+    (values, *_), carried = _observed(data, rule, score, perms)
     permuted = values[perms.matrix]
     if taxonomy is None:
         sel = rule.select_values_batch(permuted)
@@ -171,7 +173,7 @@ def _covariate_reference(
         # trajectories are indexed by online steps: the batched replay's offline columns drop out
         traj = rule.trajectory_values_batch(permuted)[:, data.n_offline :]
         sel = taxonomy.mask(traj)
-    detail = _calibration(point_scores, perms, sel)
+    detail = _calibration(carried, sel)
     detail.moved_scores.setflags(write=False)
     return detail
 
@@ -264,14 +266,14 @@ def conformal_pvalue_set(
     scores and indicators of every slot, the offline block included, which
     permutations re-select; the usual quantile calibration then applies.
     """
-    (fhat, labels, cutoffs, n_offline), point_scores = _observed(data, rule, score, perms)
+    (fhat, labels, cutoffs, n_offline), carried = _observed(data, rule, score, perms)
     ind = _sides(labels, cutoffs)
     fp = fhat[perms.matrix]
     q = []
     for k in (0, 1):
         ind[-1] = k
         sel = rule.selects_last(fp, ind[perms.matrix], n_offline)
-        q.append(_calibration(point_scores, perms, sel).threshold(alpha).threshold)
+        q.append(_calibration(carried, sel).threshold(alpha).threshold)
     return CutoffPiecewiseSet(cutoff=float(data.test_cutoff), q_above=q[0], q_below=q[1])
 
 
@@ -292,26 +294,30 @@ def earlier_outcome_set(
     the last slot, so the engine's reference at a label below every
     prediction and at one above every prediction gives both sides of every
     row.  Between consecutive sorted past predictions each moved-in row's
-    side is constant, so each open interval gets one threshold; the
-    partition boundaries themselves are decided by direct p-value
-    evaluation.
+    side is constant, so each open interval gets one threshold; all of
+    them come from one stacked pass, each interval's rank read from its
+    row of moved-in scores.  The partition boundaries themselves are
+    decided by direct p-value evaluation.
     """
-    (mu_points, *_), point_scores = _observed(data, rule, score, perms)
+    (mu_points, *_), (carried, moved) = _observed(data, rule, score, perms)
     t = data.t
     if t == 1:
         return IntervalUnionSet((), (math.inf,), ())
     breakpoints = np.sort(mu_points[: t - 1])
     mu_last = mu_points[perms.matrix[:, -1]]
     below, above = (reference_mask(y, data, rule, perms) for y in (-math.inf, math.inf))
-    # a row keeping the test point in place never reads its label: there below == above
-    thresholds = tuple(
-        _calibration(point_scores, perms, np.where(mu_last <= lo, above, below)).threshold(alpha).threshold
-        for lo in (-math.inf, *breakpoints)
-    )
+    # row i: the reference on the interval above lows[i]; a row keeping the
+    # test point in place never reads its label, so there below == above
+    lows = np.concatenate(([-math.inf], breakpoints))
+    sel = np.where(mu_last <= lows[:, None], above, below)
+    ref_sizes = 1 + np.count_nonzero(sel, axis=1)
+    ranks = np.array([coverage_rank(alpha, r) for r in ref_sizes.tolist()])
+    # non-members read +inf, past every member's score
+    thresholds = kth_smallest_or_inf(ranks, np.where(sel & moved, carried, math.inf))
     included = tuple(pemi_pvalue(float(b), data, rule, score, perms).exceeds(alpha) for b in breakpoints)
     return IntervalUnionSet(
         breakpoints=tuple(float(b) for b in breakpoints),
-        thresholds=thresholds,
+        thresholds=tuple(thresholds),
         boundary_included=included,
     )
 
@@ -329,4 +335,4 @@ def multi_test_threshold_set(
         raise ConfigurationError("threshold form needs a label-free multi-test rule")
     seq, single = _single_test(data, j, rule)
     sel = reference_mask(0.0, seq, single, perms)  # imputed label unused
-    return _calibration(score.of_points(data.calib_x, data.calib_y), perms, sel).threshold(alpha)
+    return _calibration(_carried(seq, score, perms), sel).threshold(alpha)

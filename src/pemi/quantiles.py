@@ -26,15 +26,24 @@ __all__ = [
 ]
 
 
-def kth_smallest_or_inf(k: int, values) -> float:
-    """k-th smallest of ``values``; ``-inf`` for k <= 0, ``+inf`` for k > len."""
+def kth_smallest_or_inf(k: int | np.ndarray, values) -> float | list[float]:
+    """k-th smallest of ``values`` along the last axis; ``-inf`` for k <= 0,
+    ``+inf`` for k > len (k is 1-based).
+
+    One rank ``k`` and an (n,) array give a float.  An (R,) array of ranks
+    and an (R, n) array give each row's entry at its own rank, as a list:
+    the rows are sorted in one call, and a row padded with ``+inf`` reads
+    ``+inf`` past its real entries, as a shorter row would.
+    """
     v = np.asarray(values, dtype=float)
-    if k <= 0:
-        return -math.inf
-    if k > v.size:
-        return math.inf
-    # partition is O(n); k is 1-based
-    return float(np.partition(v, k - 1)[k - 1])
+    n = v.shape[-1]
+    # each row sorted between a -inf and a +inf end: rank k is entry k, clipped to the ends
+    framed = np.empty(v.shape[:-1] + (n + 2,))
+    framed[..., 0], framed[..., -1] = -math.inf, math.inf
+    framed[..., 1:-1] = v
+    framed[..., 1:-1].sort(axis=-1)
+    at = np.minimum(np.maximum(k, 0), n + 1)
+    return framed[(*np.indices(np.shape(at), sparse=True), at)].tolist()
 
 
 def coverage_rank(alpha: float, ref_size: int) -> int:

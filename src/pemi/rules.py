@@ -19,7 +19,8 @@ A cutoff rule reads each label only through its side of its cutoff:
 ``CutoffRule.selects_last`` on side indicators is both its reference and
 its batched kernel, and so is ``EarlierOutcomeRule.decide_rows``.  Every
 weighted statistic accumulates through one ``_weighted_sum``, so a row
-decides alike on its own and inside a batch.
+decides alike on its own and inside a batch; with unit weights it counts
+the indicators instead of multiplying them by 1.0.
 
 Rules are immutable and pure; evaluation on permuted sequences happens by
 indexing the permuted order, never by mutating state.
@@ -81,17 +82,21 @@ def _check_decay(decay: float | None) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _weights_and_total(n: int, decay: float | None) -> tuple[np.ndarray, float]:
-    """``recency_weights`` and their sum, for references replayed once per permuted row."""
+def _weights_and_total(n: int, decay: float | None) -> tuple[np.ndarray | None, float]:
+    """``recency_weights`` and their sum, for references replayed once per
+    permuted row; unit weights (``decay`` None) are ``None`` with total ``n``."""
+    if decay is None:
+        return None, float(n)
     w = recency_weights(n, decay)
     return w, w.sum()
 
 
-def _weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _weighted_sum(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """The one accumulation of every weighted statistic along the last axis:
     a row gives the same float on its own as inside a batch (``w @ x`` and
-    ``x @ w`` do not)."""
-    return (x * w).sum(axis=-1)
+    ``x @ w`` do not).  Unit weights (``w`` None) are summed without the
+    product, as ``x * 1.0`` is ``x``: indicators are counted."""
+    return x.sum(axis=-1) if w is None else (x * w).sum(axis=-1)
 
 
 class SelectionRule(abc.ABC):

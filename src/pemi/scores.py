@@ -114,9 +114,12 @@ class LastPointScore(ConformityScore):
         return self.of_point(xs[-1], float(ys[-1]))
 
 
+_NOT_FINITE = "the score's model output must be finite"
+
+
 def _finite_output(pred: np.ndarray) -> np.ndarray:
     if not np.isfinite(pred).all():
-        raise DomainError("the score's model output must be finite")
+        raise DomainError(_NOT_FINITE)
     return pred
 
 
@@ -146,7 +149,10 @@ class AbsoluteResidualScore(LastPointScore):
     def at(self, x: np.ndarray) -> ResidualAt:
         # one (1, d) row, as every caller scores a single point: a row sliced from a
         # batch evaluation of another shape can round differently
-        return ResidualAt(float(_finite_output(self.model(np.asarray(x).reshape(1, -1)))[0]))
+        mu = float(self.model(np.asarray(x).reshape(1, -1))[0])
+        if not math.isfinite(mu):
+            raise DomainError(_NOT_FINITE)
+        return ResidualAt(mu)
 
     def of_points(self, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if X.shape[0] == 0:

@@ -1,9 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from pemi import fast
+from pemi.engine import pemi_set_grid
 from pemi.scores import AbsoluteResidualScore, LinearModel
 from pemi.types import DataSequence
 
@@ -68,6 +71,20 @@ def weighted_quantile(beta: float, values, weights) -> float:
     order = np.argsort(v, kind="stable")
     idx = int(np.searchsorted(np.cumsum(w[order]), beta * w.sum(), side="left"))
     return float(v[order][min(idx, v.size - 1)])  # float slack at beta == 1
+
+
+def closed_form_is_the_engine(data, rule, score, perms, alpha, u, y_obs) -> bool:
+    """Whether the closed-form set and the generic engine agree on a label
+    grid around the labels and on every finite end of the set's intervals,
+    its cutoff and its breakpoints."""
+    dset = fast._closed_form(data, rule, score, perms, alpha, u)
+    ends = [b for piece in dset.intervals(score, data.test_x) for b in piece]
+    ends += [getattr(dset, "cutoff", math.inf), *getattr(dset, "breakpoints", ())]
+    bounds = [b for b in ends if math.isfinite(b)]
+    anchor = [*data.y.tolist(), y_obs, *bounds]
+    grid = np.union1d(np.linspace(min(anchor) - 2, max(anchor) + 2, 41), bounds)
+    want = pemi_set_grid(grid, data, rule, score, perms, alpha, u=u)
+    return [dset.contains(float(y), score, data.test_x) for y in grid] == want.tolist()
 
 
 @pytest.fixture

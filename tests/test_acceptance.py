@@ -21,12 +21,14 @@ from pemi.engine import (
 from pemi.experiment import ExperimentConfig, run_experiment, write_outputs
 from pemi.fast import CalibrationDetail, multi_test_threshold_set
 from pemi.generators import GeneratorConfig, TrueMeanModel, generate
-from pemi.oracle import all_orders_sample, jomi_multi_test_set
+from pemi.oracle import all_orders_sample
 from pemi.permutations import sample_permutations
 from pemi.rules import AlwaysSelectRule, weighted_pvalue_history
 from pemi.scores import AbsoluteResidualScore
 from pemi.thresholds import lond_threshold
 from pemi.types import DataSequence, MultiTestData
+
+from oracle_refs import jomi_multi_test_set
 
 
 @pytest.fixture

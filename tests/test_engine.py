@@ -19,7 +19,7 @@ from pemi.engine import (
 )
 from pemi.errors import ConfigurationError, DomainError, PreconditionError
 from pemi.fast import covariate_set, earlier_outcome_set, multi_test_threshold_set
-from pemi.oracle import all_orders_sample, jomi_multi_test_set
+from pemi.oracle import all_orders_sample
 from pemi.permutations import sample_permutations
 from pemi.rules import (
     AlwaysSelectRule,
@@ -34,6 +34,7 @@ from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence, MultiTestData, PermutationSample
 
 from conftest import make_sequence, permuted
+from oracle_refs import jomi_multi_test_set
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
 
@@ -282,7 +283,7 @@ def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
 
 def _cold(monkeypatch):
     """Empty the engine's memo slots: the next call builds from scratch."""
-    for memo in (engine._replayed, engine._labeled_scores, engine._test_point):
+    for memo in (engine._replayed, engine._labeled_scores, engine._test_point, engine._carried):
         monkeypatch.setattr(memo, "last", None)
 
 
@@ -358,6 +359,70 @@ def test_label_free_replay_is_read_only_and_keeps_no_failed_build(monkeypatch):
         with pytest.raises(ConfigurationError):
             pemi_pvalue(0.0, plain, inst.rule, inst.score, plain_perms)
     assert engine._replayed.last[0] == (inst.data, inst.rule, perms)
+
+
+def test_carried_scores_are_built_once_per_sequence_score_and_sample(monkeypatch):
+    """A grid of labels builds the carried scores once; an equal but distinct
+    sequence, score or sample builds them again, another rule does not."""
+    inst = draw_instance("earlier_outcome", np.random.default_rng(8), 6)
+    perms = sample_permutations(6, 30, seed=4)
+    args = dict(data=inst.data, rule=inst.rule, score=inst.score, perms=perms)
+    _cold(monkeypatch)
+    builds = []
+    build = engine._carried.__wrapped__
+    monkeypatch.setattr(engine, "_carried", engine._one_slot_memo(lambda *a: builds.append(a) or build(*a)))
+    grid = np.linspace(-3.0, 3.0, 20)
+    want = [_counts(pemi_pvalue(float(y), **args, u=u)) for y in grid for u in (None, 0.4)]
+    assert builds == [(inst.data, inst.score, perms)]
+    twins = {
+        "data": dataclasses.replace(inst.data),
+        "score": dataclasses.replace(inst.score),
+        "perms": sample_permutations(6, 30, seed=4),
+        "rule": dataclasses.replace(inst.rule),
+    }
+    for name, twin in twins.items():
+        pemi_pvalue(0.5, **args)
+        builds.clear()
+        got = [_counts(pemi_pvalue(float(y), **{**args, name: twin}, u=u)) for y in grid for u in (None, 0.4)]
+        assert got == want
+        assert len(builds) == (name != "rule"), name
+    carried, moved = engine._carried(inst.data, inst.score, perms)
+    assert not (carried.flags.writeable or moved.flags.writeable)
+
+
+def test_labels_tied_with_carried_scores_count_as_written_out():
+    """Halves make every score exact, so labels at ``mu ± s`` for a labeled
+    score ``s`` tie the test point's score with the scores that rows carry
+    into the test slot.  The counts equal a count over each member row's
+    permuted last point, written out here."""
+    mu = LinearModel(intercept=0.0, coef=(1.0,))
+    score = AbsoluteResidualScore(mu)
+    rng = np.random.default_rng(31)
+    x = rng.integers(-6, 7, size=(9, 1)) / 2
+    y = rng.integers(-6, 7, size=9) / 2
+    data = DataSequence(x=x[:-1], y=y[:-1], test_x=x[-1])
+    rule = EarlierOutcomeRule(mu=mu, beta_sel=0.5)
+    perms = sample_permutations(9, 200, seed=3)
+    test_mu = float(x[-1, 0])
+    labeled = np.abs(y[:-1] - x[:-1, 0])
+    tied_moved = 0
+    for label in sorted({test_mu + s for s in labeled} | {test_mu - s for s in labeled}):
+        v0 = abs(label - test_mu)
+        mask = reference_mask(label, data, rule, perms)
+        lasts = [last for last, m in zip(perms.matrix[:, -1].tolist(), mask) if m]
+        # a member that keeps the test point in the last slot (slot 8) scores v0
+        members = [labeled[last] if last < labeled.size else v0 for last in lasts]
+        tied_moved += sum(1 for last in lasts if last < labeled.size and labeled[last] == v0)
+        ref_size = 1 + len(members)
+        at_least = 1 + sum(v0 <= s for s in members)
+        strict = sum(v0 < s for s in members)
+        ties = 1 + sum(v0 == s for s in members)
+        det = pemi_pvalue(label, data, rule, score, perms)
+        rand = pemi_pvalue(label, data, rule, score, perms, u=0.25)
+        assert (det.ref_size, det.exceed_count, det.tie_count) == (ref_size, at_least, None)
+        assert (rand.ref_size, rand.exceed_count, rand.tie_count) == (ref_size, strict, ties)
+        assert rand.value == (strict + 0.25 * ties) / ref_size
+    assert tied_moved > 0
 
 
 WARM_CASES = [*FAMILIES, "taxonomy", "earlier_outcome_tie_break"]

@@ -18,13 +18,12 @@ from pemi.experiment import (
     vanilla_set,
     write_outputs,
 )
-from pemi.engine import pemi_set_grid
 from pemi.oracle import all_orders_sample
 from pemi.permutations import sample_permutations
 from pemi.rules import CovariateRule, SelectionTaxonomy
 from pemi.types import DataSequence
 
-from conftest import prefix
+from conftest import closed_form_is_the_engine, prefix
 
 
 def test_vanilla_set_rank_examples():
@@ -288,20 +287,6 @@ def _example_config(family: str) -> ExperimentConfig:
     return _tiny_config(T=12, N=1, M=30, rule=rule_spec, generator=generator, methods=("pemi_det",), **extra)
 
 
-def _closed_form_is_the_engine(res, data, perms, alpha, u, y_obs) -> bool:
-    """Whether the closed-form set and the generic engine agree on a label
-    grid around the labels and on every finite end of the set's intervals,
-    its cutoff and its breakpoints."""
-    dset = fast._closed_form(data, res.rule, res.score, perms, alpha, u)
-    ends = [b for piece in dset.intervals(res.score, data.test_x) for b in piece]
-    ends += [getattr(dset, "cutoff", math.inf), *getattr(dset, "breakpoints", ())]
-    bounds = [b for b in ends if math.isfinite(b)]
-    anchor = [*data.y.tolist(), y_obs, *bounds]
-    grid = np.union1d(np.linspace(min(anchor) - 2, max(anchor) + 2, 41), bounds)
-    want = pemi_set_grid(grid, data, res.rule, res.score, perms, alpha, u=u)
-    return [dset.contains(float(y), res.score, data.test_x) for y in grid] == want.tolist()
-
-
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
 def test_every_config_rule_has_a_closed_form_equal_to_the_engine(family):
     """On the first selected steps of each example, for sampled and (at
@@ -322,7 +307,7 @@ def test_every_config_rule_has_a_closed_form_equal_to_the_engine(family):
             for perms in refs:
                 for u in uniforms:
                     y_obs = float(Y[cfg.offline_n + t - 1])
-                    assert _closed_form_is_the_engine(res, data, perms, cfg.alpha, u, y_obs), (seed, t, u)
+                    assert closed_form_is_the_engine(data, res.rule, res.score, perms, cfg.alpha, u, y_obs), (seed, t, u)
                     checked += 1
     assert checked, "the example selects no step"
 

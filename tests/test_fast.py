@@ -11,7 +11,7 @@ from pemi import fast
 from pemi.crosscheck import FAMILIES, check_instance, draw_instance
 from pemi.engine import SelectionPValue, TopPredictionRule, pemi_pvalue, pemi_set_grid, reference_mask
 from pemi.errors import ConfigurationError, DomainError, PemiError, PreconditionError
-from pemi.oracle import all_orders_sample, full_pemi_set_grid
+from pemi.oracle import all_orders_sample
 from pemi.permutations import sample_permutations
 from pemi.quantiles import kth_smallest_or_inf
 from pemi.rules import (
@@ -31,7 +31,8 @@ from pemi.sets import CutoffPiecewiseSet, IntervalUnionSet
 from pemi.thresholds import FixedThreshold
 from pemi.types import DataSequence, MultiTestData
 
-from conftest import make_sequence
+from conftest import closed_form_is_the_engine, make_sequence
+from oracle_refs import full_pemi_set_grid
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
 MU1 = LinearModel(intercept=0.0, coef=(1.0,))  # identity on 1-d features
@@ -366,6 +367,32 @@ def test_earlier_outcome_t1_everything(residual_score):
     perms = sample_permutations(1, 7, seed=0)
     dset = fast.earlier_outcome_set(data, rule, residual_score, perms, alpha=0.4)
     assert dset.thresholds == (math.inf,)
+
+
+@pytest.mark.parametrize("decay", [None, 0.9])
+@pytest.mark.parametrize("ties", [False, True], ids=["plain", "tie_heavy"])
+@pytest.mark.parametrize("t", [20, 60])
+def test_earlier_outcome_closed_form_is_the_engine_at_workload_sizes(t, ties, decay):
+    """At the benchmark's horizons and sample size (``M=200``), far past
+    the battery's ``t <= 7, M <= 20``, every interval's threshold decides
+    as the engine does, also where rounded covariates and labels tie the
+    predictions and the scores."""
+    rng = np.random.default_rng(1000 * t + 10 * ties + (decay is None))
+    score = AbsoluteResidualScore(model=LinearModel(0.3, (0.8,)))
+    for _ in range(100):
+        X = rng.normal(size=(t, 1))
+        Y = X[:, 0] + rng.normal(size=t)
+        if ties:
+            X, Y = np.round(X * 2) / 2, np.round(Y * 2) / 2
+        data = DataSequence(x=X[:-1], y=Y[:-1], test_x=X[-1])
+        rule = EarlierOutcomeRule(mu=MU1, beta_sel=float(rng.uniform(0.3, 0.7)), decay=decay)
+        if rule.select(data):
+            break
+    else:
+        pytest.fail("no selected draw")
+    perms = sample_permutations(t, 200, seed=t)
+    for alpha in (0.1, 0.2, 0.35):
+        assert closed_form_is_the_engine(data, rule, score, perms, alpha, None, float(Y[-1])), alpha
 
 
 # -- e-LOND -------------------------------------------------------------------

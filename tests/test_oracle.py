@@ -8,14 +8,7 @@ from pemi.engine import pemi_pvalue
 from pemi import fast
 from pemi.errors import GuardError, PreconditionError
 from pemi.experiment import vanilla_set
-from pemi.oracle import (
-    all_orders_sample,
-    full_pemi_pvalue,
-    full_pemi_set_grid,
-    jomi_reference,
-    jomi_set_symmetric,
-    permutation_fcp_pvalue,
-)
+from pemi.oracle import all_orders_sample
 from pemi.permutations import sample_permutations
 from pemi.quantiles import coverage_rank, kth_smallest_or_inf
 from pemi.rules import AlwaysSelectRule, DecisionDrivenRule, EarlierOutcomeRule, WeightedPredictionRule
@@ -23,6 +16,13 @@ from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence
 
 from conftest import make_sequence, permuted
+from oracle_refs import (
+    full_pemi_pvalue,
+    full_pemi_set_grid,
+    jomi_reference,
+    jomi_set_symmetric,
+    permutation_fcp_pvalue,
+)
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
 

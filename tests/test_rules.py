@@ -19,6 +19,7 @@ from pemi.rules import (
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
+    _weighted_sum,
     elond_selection_profile,
     recency_weights,
     weighted_pvalue_history,
@@ -526,6 +527,45 @@ def test_weighted_statistics_decide_a_row_alike_alone_and_in_a_batch(n, rows, de
     ):
         batch = rule.select_values_batch(vals)
         assert batch.tolist() == [rule.select_values(vals[i]) for i in range(rows)]
+
+
+def _tie_heavy(rng, shape):
+    """Halves in [-2, 2], many of them tied, with a few ``±inf`` mixed in."""
+    x = rng.integers(-4, 5, size=shape) / 2
+    x[rng.random(shape) < 0.03] = math.inf
+    x[rng.random(shape) < 0.03] = -math.inf
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 200])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # a row holding both infinities sums to NaN
+def test_unit_weights_are_counted_with_the_bits_of_the_product(n):
+    """``decay=None`` sums without multiplying by the weights; ``decay=1.0``
+    multiplies by weights that are exactly 1.0.  Both give the same bits,
+    in ``_weighted_sum`` itself and in every decision built on it, on
+    batches and on single rows."""
+    rng = np.random.default_rng(n)
+    rows = 300
+    values = _tie_heavy(rng, (rows, n + 1))  # n earlier slots, then the test slot
+    labels = _tie_heavy(rng, (rows, n))
+    ones = np.ones(n)
+    for x in (values[0, :-1], np.ascontiguousarray(values[:, :-1]), values[:, :-1]):
+        assert _weighted_sum(x, None).tobytes() == (x * ones).sum(axis=-1).tobytes()
+    indicators = labels > values[:, -1:]
+    assert np.array_equal(_weighted_sum(indicators, None), (indicators * ones).sum(axis=-1))
+    pairs = [
+        (EarlierOutcomeRule(mu=MU, beta_sel=0.5, decay=d) for d in (None, 1.0)),
+        (WeightedPredictionRule(mu=MU, mode="quantile", q_sel=0.5, decay=d) for d in (None, 1.0)),
+        (WeightedPredictionRule(mu=MU, mode="average", decay=d) for d in (None, 1.0)),
+    ]
+    for counted, multiplied in pairs:
+        if isinstance(counted, EarlierOutcomeRule):
+            batch = [r.decide_rows(values, labels, None, 0).tolist() for r in (counted, multiplied)]
+            single = [[r.decide(values[i], labels[i], None, 0) for i in range(rows)] for r in (counted, multiplied)]
+        else:
+            batch = [r.select_values_batch(values).tolist() for r in (counted, multiplied)]
+            single = [[r.select_values(values[i]) for i in range(rows)] for r in (counted, multiplied)]
+        assert batch[0] == batch[1] == single[0] == single[1]
 
 
 @given(st.integers(0, 2**32 - 1))
