@@ -12,11 +12,12 @@ A rule's point values depend on each point alone and read no label, so
 the label-free part of a replay is built once per sequence, rule and
 sample (``rule.replay`` on the whole sample: one gather of every sampled
 row's arguments with the test label NaN, and where each row keeps it) and
-kept in a one-slot memo, as are, per sequence and score, the labeled
-points' scores and the test point's score as a function of its label
-(``score.at``), and, per sequence, score and sample, the labeled score
-each sampled row carries into the test slot and whether it moved a point
-there (``_carried``), which the closed forms of ``pemi.fast`` read too.
+kept in a one-slot memo, as are, per sequence and score, the test
+point's score as a function of its label (``score.at``), and, per
+sequence, score and sample, the labeled score each sampled row carries
+into the test slot and whether it moved a point there (``_carried``,
+which scores every labeled point once), which the closed forms of
+``pemi.fast`` read too.
 Each candidate label then only writes itself into the test label's
 places, the one place a label is imputed, and decides every row in one
 ``rule.decide_rows`` call (the cutoff and earlier-outcome kernels take
@@ -124,17 +125,6 @@ def _replayed(data: DataSequence, rule: SelectionRule, perms: PermutationSample)
 
 
 @_one_slot_memo
-def _labeled_scores(data: DataSequence, score: LastPointScore) -> np.ndarray:
-    """The labeled slots' scores in slot order, read-only."""
-    test_slot = data.n_slots - 1
-    scores = np.empty(test_slot)
-    if test_slot:
-        scores[:] = score.of_points(data.full_x()[:test_slot], data.full_y()[:test_slot])
-    scores.setflags(write=False)
-    return scores
-
-
-@_one_slot_memo
 def _test_point(data: DataSequence, score: LastPointScore) -> PointScore:
     """The test point's score as a function of its label."""
     return score.at(data.full_x()[-1])
@@ -147,10 +137,14 @@ def _carried(data: DataSequence, score: LastPointScore, perms: PermutationSample
     the test point in place carries the test point's own score, which
     depends on the label: its entry is NaN and never read."""
     _check_domain(data, perms)
+    test_slot = data.n_slots - 1
     last = perms.matrix[:, -1]
-    moved = last != data.n_slots - 1
+    moved = last != test_slot
     carried = np.full(perms.m, math.nan)
-    carried[moved] = _labeled_scores(data, score)[last[moved]]
+    if test_slot:
+        # every labeled point scored once, in slot order, then gathered per row
+        labeled = score.of_points(data.full_x()[:test_slot], data.full_y()[:test_slot])
+        carried[moved] = labeled[last[moved]]
     for a in (carried, moved):
         a.setflags(write=False)
     return carried, moved

@@ -30,12 +30,19 @@ def kth_smallest_or_inf(k: int | np.ndarray, values) -> float | list[float]:
     """k-th smallest of ``values`` along the last axis; ``-inf`` for k <= 0,
     ``+inf`` for k > len (k is 1-based).
 
-    One rank ``k`` and an (n,) array give a float.  An (R,) array of ranks
-    and an (R, n) array give each row's entry at its own rank, as a list:
-    the rows are sorted in one call, and a row padded with ``+inf`` reads
-    ``+inf`` past its real entries, as a shorter row would.
+    One rank ``k`` (not an array) and an (n,) array give a float, through
+    an O(n) partition.  An (R,) array of ranks and an (R, n) array give
+    each row's entry at its own rank, as a list: the rows are sorted in
+    one call, and a row padded with ``+inf`` reads ``+inf`` past its real
+    entries, as a shorter row would.
     """
     v = np.asarray(values, dtype=float)
+    if not isinstance(k, np.ndarray):
+        if k <= 0:
+            return -math.inf
+        if k > v.size:
+            return math.inf
+        return float(np.partition(v, k - 1)[k - 1])
     n = v.shape[-1]
     # each row sorted between a -inf and a +inf end: rank k is entry k, clipped to the ends
     framed = np.empty(v.shape[:-1] + (n + 2,))

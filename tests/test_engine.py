@@ -283,7 +283,7 @@ def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
 
 def _cold(monkeypatch):
     """Empty the engine's memo slots: the next call builds from scratch."""
-    for memo in (engine._replayed, engine._labeled_scores, engine._test_point, engine._carried):
+    for memo in (engine._replayed, engine._test_point, engine._carried):
         monkeypatch.setattr(memo, "last", None)
 
 
@@ -294,7 +294,8 @@ def _counts(p):
 def test_label_free_replay_is_built_once_per_argument_identity(monkeypatch):
     """A grid of labels replays the rule, scores the labeled points and
     evaluates the test point's score once; an equal but distinct sequence,
-    rule, sample or score builds again."""
+    rule, sample or score builds again (the labeled points are scored per
+    sample, with the scores each row carries)."""
     inst = draw_instance("earlier_outcome", np.random.default_rng(3), 6)
     data, rule, score = inst.data, inst.rule, inst.score
     perms = sample_permutations(6, 30, seed=4)
@@ -312,7 +313,7 @@ def test_label_free_replay_is_built_once_per_argument_identity(monkeypatch):
     twins = {
         "data": (dataclasses.replace(data), (1, 1, 1)),
         "rule": (dataclasses.replace(rule), (1, 0, 0)),
-        "perms": (sample_permutations(6, 30, seed=4), (1, 0, 0)),
+        "perms": (sample_permutations(6, 30, seed=4), (1, 1, 0)),
         "score": (dataclasses.replace(score), (0, 1, 1)),
     }
     for name, (twin, rebuilt) in twins.items():
@@ -350,7 +351,7 @@ def test_label_free_replay_is_read_only_and_keeps_no_failed_build(monkeypatch):
     _cold(monkeypatch)
     pemi_pvalue(0.0, inst.data, inst.rule, inst.score, perms)
     values, labels, cutoffs, _, at_test = engine._replayed(inst.data, inst.rule, perms)
-    for a in (values, labels, cutoffs, at_test, engine._labeled_scores(inst.data, inst.score)):
+    for a in (values, labels, cutoffs, at_test, *engine._carried(inst.data, inst.score, perms)):
         assert not a.flags.writeable
     # e-LOND needs cutoffs and an offline block: a plain sequence raises on every call
     plain = make_sequence(np.random.default_rng(6), t=4)
