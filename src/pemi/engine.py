@@ -18,14 +18,16 @@ sequence, score and sample, the labeled score each sampled row carries
 into the test slot and whether it moved a point there (``_carried``,
 which scores every labeled point once), which the closed forms of
 ``pemi.fast`` read too.
-Each candidate label then only writes itself into the test label's
-places, the one place a label is imputed, and decides every row in one
-``rule.decide_rows`` call (the cutoff and earlier-outcome kernels take
-the whole batch), so every label is still decided by the rule itself;
-its score is the test point's ``of`` at that label, which calls no
-model, and is counted against the carried scores of the members that
-moved a point into the test slot, the other members tying with it.  The
-earlier-outcome closed form reads its two side masks from
+Each candidate label then only writes itself, in place, into the test
+label's places of one working copy of the row-stacked labels (built once
+per sequence, rule and sample, ``_written``, and read by the rule through
+a read-only view), the one place a label is imputed, and decides every
+row in one ``rule.decide_rows`` call (the cutoff and earlier-outcome
+kernels take the whole batch), so every label is still decided by the
+rule itself; its score is the test point's ``of`` at that label, which
+calls no model, and is counted against the carried scores of the members
+that moved a point into the test slot, the other members tying with it.
+The earlier-outcome closed form reads its two side masks from
 ``reference_mask`` itself.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -99,7 +102,7 @@ def _one_slot_memo(build: Callable) -> Callable:
     @functools.wraps(build)
     def memo(*args):
         last = memo.last
-        if last is not None and len(last[0]) == len(args) and all(a is b for a, b in zip(last[0], args)):
+        if last is not None and len(last[0]) == len(args) and all(map(operator.is_, last[0], args)):
             return last[1]
         result = build(*args)
         memo.last = (args, result)
@@ -122,6 +125,22 @@ def _replayed(data: DataSequence, rule: SelectionRule, perms: PermutationSample)
         if a is not None:
             a.setflags(write=False)
     return values, labels, cutoffs, n_offline, at_test
+
+
+@_one_slot_memo
+def _written(data: DataSequence, rule: SelectionRule, perms: PermutationSample) -> tuple:
+    """``_replayed`` with its labels swapped for a private copy that each
+    candidate label is written into in place, and that copy's flat view to
+    write through.  The rule reads the copy through a read-only view, so a
+    rule that writes into its labels raises.  Every label overwrites all of
+    the test label's places, so nothing of one label is left for the next;
+    the copy is shared by every call on the same objects, which must not
+    run at the same time."""
+    values, labels, cutoffs, n_offline, at_test = _replayed(data, rule, perms)
+    work = labels.copy()
+    read = work.view()
+    read.setflags(write=False)
+    return values, read, cutoffs, n_offline, at_test, work.reshape(-1)
 
 
 @_one_slot_memo
@@ -164,7 +183,8 @@ def reference_mask(
     the sample and is accounted for separately by the p-value functions.
     Every row's arguments come from the label-free replay of ``data``,
     ``rule`` and ``perms`` (built once for those very objects), with ``y``
-    written where a row holds the test label.  Without a taxonomy one
+    written in place where a row holds the test label (``_written``: the
+    rule reads the labels read-only).  Without a taxonomy one
     ``rule.decide_rows`` call decides every row; with one, each row
     replays ``rule.decide_trajectory`` and ``taxonomy.mask`` keeps the
     stacked trajectories it admits.  A NaN label is a ``DomainError``;
@@ -172,9 +192,8 @@ def reference_mask(
     """
     if math.isnan(y):
         raise DomainError("a candidate label must not be NaN")
-    values, labels, cutoffs, n_offline, at_test = _replayed(data, rule, perms)
-    labels = labels.copy()
-    np.put(labels, at_test, y)
+    values, labels, cutoffs, n_offline, at_test, flat = _written(data, rule, perms)
+    flat[at_test] = y
     if taxonomy is None:
         return rule.decide_rows(values, labels, cutoffs, n_offline)
     cut = [None] * perms.m if cutoffs is None else cutoffs

@@ -45,7 +45,6 @@ def all_orders_sample(
         rows = [o for o in rows if o != tuple(range(n_points))]
     return PermutationSample(
         matrix=np.array(rows, dtype=np.int64).reshape(len(rows), n_points),
-        seed=0,
         n_points=n_points,
         index_start=index_start,
     )

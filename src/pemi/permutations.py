@@ -90,4 +90,4 @@ def sample_permutations(
         gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, n_points)))
         uniforms = gen.random((M, k))
         matrix = _fisher_yates_rows(uniforms, n_points)
-    return PermutationSample(matrix=matrix, seed=seed, n_points=n_points, index_start=index_start)
+    return PermutationSample(matrix=matrix, n_points=n_points, index_start=index_start)

@@ -20,7 +20,8 @@ A cutoff rule reads each label only through its side of its cutoff:
 its batched kernel, and so is ``EarlierOutcomeRule.decide_rows``.  Every
 weighted statistic accumulates through one ``_weighted_sum``, so a row
 decides alike on its own and inside a batch; with unit weights it counts
-the indicators instead of multiplying them by 1.0.
+bool indicators by one product with a ones vector instead of multiplying
+them by 1.0.
 
 Rules are immutable and pure; evaluation on permuted sequences happens by
 indexing the permuted order, never by mutating state.
@@ -47,7 +48,6 @@ __all__ = [
     "CutoffRule",
     "CutoffScoreFromModel",
     "AlwaysSelectRule",
-    "NeverSelectRule",
     "DecisionDrivenRule",
     "WeightedPredictionRule",
     "UncertaintyBudgetRule",
@@ -95,8 +95,12 @@ def _weighted_sum(x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """The one accumulation of every weighted statistic along the last axis:
     a row gives the same float on its own as inside a batch (``w @ x`` and
     ``x @ w`` do not).  Unit weights (``w`` None) are summed without the
-    product, as ``x * 1.0`` is ``x``: indicators are counted."""
-    return x.sum(axis=-1) if w is None else (x * w).sum(axis=-1)
+    product, as ``x * 1.0`` is ``x``; bool indicators are counted by one
+    product with a ones vector, whose partial sums are whole numbers below
+    2^53 and so exact in any order."""
+    if w is not None:
+        return (x * w).sum(axis=-1)
+    return x @ recency_weights(x.shape[-1], None) if x.dtype == bool else x.sum(axis=-1)
 
 
 class SelectionRule(abc.ABC):
@@ -227,18 +231,6 @@ class AlwaysSelectRule(CovariateRule):
 
     def select_values_batch(self, values: np.ndarray) -> np.ndarray:
         return np.ones(values.shape[0], dtype=bool)
-
-
-@dataclass(frozen=True)
-class NeverSelectRule(CovariateRule):
-    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
-        return np.zeros(X.shape[0])
-
-    def select_values(self, values: np.ndarray) -> bool:
-        return False
-
-    def select_values_batch(self, values: np.ndarray) -> np.ndarray:
-        return np.zeros(values.shape[0], dtype=bool)
 
 
 @dataclass(frozen=True)

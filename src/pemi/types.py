@@ -158,7 +158,6 @@ class PermutationSample:
     """
 
     matrix: np.ndarray
-    seed: int
     n_points: int
     index_start: int = 1
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from pemi import fast
 from pemi.engine import pemi_set_grid
+from pemi.rules import CovariateRule
 from pemi.scores import AbsoluteResidualScore, LinearModel
 from pemi.types import DataSequence
 
@@ -14,6 +15,20 @@ settings.register_profile(
     "pkg", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=50
 )
 settings.load_profile("pkg")
+
+
+@dataclasses.dataclass(frozen=True)
+class NeverSelectRule(CovariateRule):
+    """Selects no point: every reference holds the identity alone."""
+
+    def point_values(self, X: np.ndarray, cutoffs: np.ndarray | None = None) -> np.ndarray:
+        return np.zeros(X.shape[0])
+
+    def select_values(self, values: np.ndarray) -> bool:
+        return False
+
+    def select_values_batch(self, values: np.ndarray) -> np.ndarray:
+        return np.zeros(values.shape[0], dtype=bool)
 
 
 def make_sequence(rng: np.random.Generator, t: int, d: int = 2, cutoffs: bool = False,

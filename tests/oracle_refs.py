@@ -86,7 +86,7 @@ def _assert_symmetric(rule: SelectionRule, data: DataSequence, n_checks: int = 2
     rng = np.random.default_rng(7)
     n = data.n_slots
     shuffles = [np.concatenate([rng.permutation(n - 1), [n - 1]]) for _ in range(n_checks)]
-    mask = reference_mask(0.0, data, rule, PermutationSample(np.array(shuffles), seed=0, n_points=n))
+    mask = reference_mask(0.0, data, rule, PermutationSample(np.array(shuffles), n_points=n))
     if np.any(mask != rule.select(data)):
         raise PreconditionError("rule is not permutation-invariant in the labeled prefix")
 
@@ -106,7 +106,7 @@ def jomi_reference(
     n = data.n_slots
     swaps, i = np.tile(np.arange(n), (n - 1, 1)), np.arange(n - 1)
     swaps[i, i], swaps[i, -1] = n - 1, i
-    mask = reference_mask(y, data, rule, PermutationSample(swaps, seed=0, n_points=n))
+    mask = reference_mask(y, data, rule, PermutationSample(swaps, n_points=n))
     return np.flatnonzero(mask).tolist()
 
 

@@ -25,7 +25,6 @@ from pemi.rules import (
     AlwaysSelectRule,
     DecisionDrivenRule,
     EarlierOutcomeRule,
-    NeverSelectRule,
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
@@ -33,7 +32,7 @@ from pemi.rules import (
 from pemi.scores import AbsoluteResidualScore, ConformityScore, LinearModel
 from pemi.types import DataSequence, MultiTestData, PermutationSample
 
-from conftest import make_sequence, permuted
+from conftest import NeverSelectRule, make_sequence, permuted
 from oracle_refs import jomi_multi_test_set
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
@@ -164,7 +163,7 @@ def test_offline_swap_membership_hand_check(residual_score):
     from pemi.types import PermutationSample
     from pemi.engine import reference_mask
 
-    perms = PermutationSample(matrix=matrix, seed=0, n_points=4, index_start=-1)
+    perms = PermutationSample(matrix=matrix, n_points=4, index_start=-1)
     assert reference_mask(0.0, data, rule, perms).tolist() == [True, False]
 
 
@@ -221,7 +220,7 @@ def test_reference_mask_equals_a_loop_over_the_public_helper(family):
         for s in range(n - 1):
             swaps[s, [s, n - 1]] = [n - 1, s]
         perms = PermutationSample(
-            matrix=np.concatenate([sampled.matrix, swaps]), seed=0, n_points=n,
+            matrix=np.concatenate([sampled.matrix, swaps]), n_points=n,
             index_start=sampled.index_start,
         )
         labels = [float(v) for v in rng.normal(size=3)]
@@ -283,7 +282,7 @@ def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
 
 def _cold(monkeypatch):
     """Empty the engine's memo slots: the next call builds from scratch."""
-    for memo in (engine._replayed, engine._test_point, engine._carried):
+    for memo in (engine._replayed, engine._written, engine._test_point, engine._carried):
         monkeypatch.setattr(memo, "last", None)
 
 
@@ -424,6 +423,50 @@ def test_labels_tied_with_carried_scores_count_as_written_out():
         assert (rand.ref_size, rand.exceed_count, rand.tie_count) == (ref_size, strict, ties)
         assert rand.value == (strict + 0.25 * ties) / ref_size
     assert tied_moved > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_label_written_in_place_leaves_nothing_for_the_next(monkeypatch, family):
+    """Labels decided one after another on the warm working copy, in a
+    shuffled order with ±inf, repeats, the past labels and the rule's point
+    values among them, each give the mask and p-value of that label decided
+    from empty slots: without a taxonomy, with the observed trajectory's
+    singleton, and with a tie-break ``u``."""
+    rng = np.random.default_rng(90 + FAMILIES.index(family))
+    inst = draw_instance(family, rng, 6)
+    data, rule, score = inst.data, inst.rule, inst.score
+    perms = sample_permutations(6, 40, seed=13, n_offline=data.n_offline)
+    past = data.full_y()[:-1].tolist()
+    values = rule.point_values(data.full_x(), data.full_cutoffs()).tolist()
+    labels = [-math.inf, math.inf, 0.0, 0.0, math.inf, *past, *past[:2], *values]
+    rng.shuffle(labels)
+    observed = SelectionTaxonomy.singleton(rule.trajectory(data))
+    for taxonomy, u in ((None, None), (observed, None), (None, inst.u)):
+        masks = [reference_mask(y, data, rule, perms, taxonomy) for y in labels]
+        counts = [_counts(pemi_pvalue(y, data, rule, score, perms, taxonomy, u)) for y in labels]
+        for y, mask, count in zip(labels, masks, counts):
+            _cold(monkeypatch)
+            assert np.array_equal(reference_mask(y, data, rule, perms, taxonomy), mask), (y, taxonomy)
+            _cold(monkeypatch)
+            assert _counts(pemi_pvalue(y, data, rule, score, perms, taxonomy, u)) == count, (y, taxonomy, u)
+
+
+class _Scribbler(EarlierOutcomeRule):
+    """Decides as its parent after writing into the labels it was given."""
+
+    def decide_rows(self, values, labels, cutoffs, n_offline):
+        labels[..., :1] = 0.0
+        return super().decide_rows(values, labels, cutoffs, n_offline)
+
+
+def test_a_rule_that_writes_into_its_labels_raises():
+    data = make_sequence(np.random.default_rng(17), t=5)
+    rule = _Scribbler(mu=MU, beta_sel=0.5)
+    perms = sample_permutations(5, 20, seed=2)
+    observed = SelectionTaxonomy.singleton(EarlierOutcomeRule(mu=MU, beta_sel=0.5).trajectory(data))
+    for taxonomy in (None, observed):
+        with pytest.raises(ValueError, match="read-only"):
+            reference_mask(0.5, data, rule, perms, taxonomy)
 
 
 WARM_CASES = [*FAMILIES, "taxonomy", "earlier_outcome_tie_break"]

@@ -20,7 +20,6 @@ from pemi.rules import (
     DecisionDrivenRule,
     EarlierOutcomeRule,
     ELondRule,
-    NeverSelectRule,
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
@@ -31,7 +30,7 @@ from pemi.sets import CutoffPiecewiseSet, IntervalUnionSet
 from pemi.thresholds import FixedThreshold
 from pemi.types import DataSequence, MultiTestData
 
-from conftest import closed_form_is_the_engine, make_sequence
+from conftest import NeverSelectRule, closed_form_is_the_engine, make_sequence
 from oracle_refs import full_pemi_set_grid
 
 MU = LinearModel(intercept=0.0, coef=(1.0, 0.0))
@@ -393,6 +392,22 @@ def test_earlier_outcome_closed_form_is_the_engine_at_workload_sizes(t, ties, de
     perms = sample_permutations(t, 200, seed=t)
     for alpha in (0.1, 0.2, 0.35):
         assert closed_form_is_the_engine(data, rule, score, perms, alpha, None, float(Y[-1])), alpha
+
+
+@pytest.mark.parametrize("t", [20, 60])
+def test_tie_randomized_covariate_set_is_the_engine_at_workload_sizes(t):
+    """At the benchmark's horizons and sample size (``M=200``), where
+    references reach far past the battery's 21 members, the tie-randomized
+    covariate set decides as the engine does on 40 instances, on a grid and
+    at every finite end of the set."""
+    rng = np.random.default_rng(2300 + t)
+    for k in range(40):
+        inst = draw_instance("covariate_randomized", rng, t)
+        data = inst.data
+        perms = sample_permutations(t, 200, seed=k)
+        assert closed_form_is_the_engine(
+            data, inst.rule, inst.score, perms, inst.alpha, inst.u, float(data.y[-1])
+        ), k
 
 
 # -- e-LOND -------------------------------------------------------------------

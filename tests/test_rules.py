@@ -15,7 +15,6 @@ from pemi.rules import (
     DecisionDrivenRule,
     EarlierOutcomeRule,
     ELondRule,
-    NeverSelectRule,
     SelectionTaxonomy,
     UncertaintyBudgetRule,
     WeightedPredictionRule,
@@ -28,7 +27,7 @@ from pemi.scores import LinearModel
 from pemi.thresholds import FixedThreshold, LondEngine, default_gamma
 from pemi.types import DataSequence
 
-from conftest import make_sequence, prefix, weighted_quantile
+from conftest import NeverSelectRule, make_sequence, prefix, weighted_quantile
 
 MU = LinearModel(intercept=0.0, coef=(1.0,))  # identity on 1-d features
 
