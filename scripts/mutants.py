@@ -153,9 +153,12 @@ MUTANTS = (
         "weighted_average_shift_up", "src/pemi/rules.py",
         "return _weighted_sum(past, w) / total < v_t[:, 0]",
         "return _weighted_sum(past, w) / total + 1e-9 * (past.shape[1] > 30) < v_t[:, 0]",
-        "the weighted-average kernel skips a prediction within 1e-9 above the average beyond 30 past points.  "
-        "No check draws such a near-tie: tie-heavy draws give differences of 0 or far above 1e-9",
-        expect="survives",
+        "the weighted-average kernel skips a prediction within 1e-9 above the average beyond 30 past points",
+    ),
+    Mutant(
+        "test_point_score_previous_row", "src/pemi/experiment.py",
+        "at = _test_point(data, res.score)", "at = res.score.at(X[n_off + t - 2])",
+        "a step's sets read the score at the previous row's covariates, not the test point's",
     ),
     Mutant(
         "permutation_seed_shift", "src/pemi/experiment.py",

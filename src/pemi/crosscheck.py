@@ -2,9 +2,10 @@
 
 For each rule family this draws random selected instances, computes the
 closed-form prediction set, and compares its membership on a label grid
-(plus all partition boundary points) against the generic engine's per-y
-decisions with the same permutation sample — and, when asked, against
-exhaustive enumeration with the sample replaced by all orderings.
+and at the set's own finite ends, cutoff and breakpoints and their float
+neighbours (``mismatches``) against the generic engine's per-y decisions
+with the same permutation sample — and, when asked, against exhaustive
+enumeration with the sample replaced by all orderings.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fast
-from .engine import pemi_set_grid
+from .engine import _test_point, pemi_set_grid
 from .errors import PemiError
 from .oracle import all_orders_sample
 from .permutations import sample_permutations
@@ -28,11 +29,13 @@ from .rules import (
     SelectionRule,
     WeightedPredictionRule,
 )
-from .scores import AbsoluteResidualScore, LinearModel
+from .scores import AbsoluteResidualScore, LastPointScore, LinearModel
 from .thresholds import FixedThreshold, LondEngine
 from .types import DataSequence, PermutationSample
 
-__all__ = ["Instance", "CrosscheckReport", "run_crosscheck", "FAMILIES", "draw_instance", "check_instance"]
+__all__ = [
+    "Instance", "CrosscheckReport", "run_crosscheck", "FAMILIES", "draw_instance", "check_instance", "mismatches"
+]
 
 FAMILIES = (
     "covariate",
@@ -163,19 +166,31 @@ def _label_grid(inst: Instance, n_points: int) -> np.ndarray:
     return grid
 
 
+def mismatches(data: DataSequence, rule: SelectionRule, score: LastPointScore, perms: PermutationSample,
+               alpha: float, u: float | None, grid: np.ndarray) -> int:
+    """Number of labels on which the closed-form set and the generic engine
+    disagree (0 means fully consistent): those of ``grid`` and every finite
+    end of the set's intervals, its cutoff and its breakpoints, each with
+    both float neighbours, where an end one rank too short or long shows."""
+    dset = fast._closed_form(data, rule, score, perms, alpha, u)
+    at = _test_point(data, score)
+    ends = [b for piece in dset.intervals(at) for b in piece]
+    ends += [getattr(dset, "cutoff", math.inf), *getattr(dset, "breakpoints", ())]
+    ends = np.array([b for b in ends if math.isfinite(b)])
+    labels = np.union1d(grid, [ends, np.nextafter(ends, -math.inf), np.nextafter(ends, math.inf)])
+    generic = pemi_set_grid(labels, data, rule, score, perms, alpha, u=u)
+    return int(np.count_nonzero(generic != [dset.contains(float(y), at) for y in labels]))
+
+
 def check_instance(
     inst: Instance, perms: PermutationSample, grid_points: int = 100
 ) -> int:
-    """Number of grid labels on which the closed form and the generic
-    engine disagree (0 means fully consistent)."""
-    grid = _label_grid(inst, grid_points)
+    """``mismatches`` of ``inst`` on its label grid of ``grid_points``
+    points; the tie-break uniform ``inst.u`` is used by the
+    tie-randomized family only."""
     u = inst.u if inst.family == "covariate_randomized" else None
-    dset = fast._closed_form(inst.data, inst.rule, inst.score, perms, inst.alpha, u)
-    generic = pemi_set_grid(grid, inst.data, inst.rule, inst.score, perms, inst.alpha, u=u)
-    fast_membership = np.array(
-        [dset.contains(float(y), inst.score, inst.data.test_x) for y in grid]
-    )
-    return int(np.sum(fast_membership != generic))
+    grid = _label_grid(inst, grid_points)
+    return mismatches(inst.data, inst.rule, inst.score, perms, inst.alpha, u, grid)
 
 
 @dataclass

@@ -10,21 +10,21 @@ answers without enumerating candidate labels.
 
 A rule's point values depend on each point alone and read no label, so
 the label-free part of a replay is built once per sequence, rule and
-sample (``rule.replay`` on the whole sample: one gather of every sampled
-row's arguments with the test label NaN, and where each row keeps it) and
-kept in a one-slot memo, as are, per sequence and score, the test
-point's score as a function of its label (``score.at``), and, per
-sequence, score and sample, the labeled score each sampled row carries
-into the test slot and whether it moved a point there (``_carried``,
-which scores every labeled point once), which the closed forms of
-``pemi.fast`` read too.
+sample and kept in a one-slot memo (``_replayed``: ``rule.replay`` on
+the whole sample, one gather of every sampled row's arguments, with the
+row-stacked labels copied once into a private working array, and the
+places where rows hold the test label), as are, per sequence and score,
+the test point's score as a function of its label (``score.at``), and,
+per sequence, score and sample, the labeled score each sampled row
+carries into the test slot and whether it moved a point there
+(``_carried``, which scores every labeled point once), which the closed
+forms of ``pemi.fast`` read too.
 Each candidate label then only writes itself, in place, into the test
-label's places of one working copy of the row-stacked labels (built once
-per sequence, rule and sample, ``_written``, and read by the rule through
-a read-only view), the one place a label is imputed, and decides every
-row in one ``rule.decide_rows`` call (the cutoff and earlier-outcome
-kernels take the whole batch), so every label is still decided by the
-rule itself; its score is the test point's ``of`` at that label, which
+label's places of the working labels (the one place a label is imputed;
+the rule reads them through a read-only view), and decides every row in
+one ``rule.decide_rows`` call (the cutoff and earlier-outcome kernels
+take the whole batch), so every label is still decided by the rule
+itself; its score is the test point's ``of`` at that label, which
 calls no model, and is counted against the carried scores of the members
 that moved a point into the test slot, the other members tying with it.
 The earlier-outcome closed form reads its two side masks from
@@ -114,30 +114,23 @@ def _one_slot_memo(build: Callable) -> Callable:
 
 @_one_slot_memo
 def _replayed(data: DataSequence, rule: SelectionRule, perms: PermutationSample) -> tuple:
-    """Every sampled row's ``decide`` arguments, the test label NaN, and
-    the flat positions in the row-stacked labels that hold it: all of a
-    replay that no candidate label changes, read-only.  ``point_values``
-    reads no label, so the values and cutoffs are those of any label."""
+    """Every sampled row's ``decide`` arguments, the flat positions in the
+    row-stacked labels that hold the test label, and a flat view of those
+    labels to write each candidate label through.  ``point_values`` reads
+    no label, so the values and cutoffs are those of any label; they and
+    the positions are read-only.  The labels are a private copy of the
+    replay's gather, read by the rule through a read-only view, so a rule
+    that writes into its labels raises.  Every label overwrites all of the
+    test label's places, so nothing of one label is left for the next; the
+    copy is shared by every call on the same objects, which must not run
+    at the same time."""
     _check_domain(data, perms)
     values, labels, cutoffs, n_offline = rule.replay(data, perms.matrix)
     at_test = np.flatnonzero(perms.matrix[:, :-1] == data.n_slots - 1)
-    for a in (values, labels, cutoffs, at_test):
+    for a in (values, cutoffs, at_test):
         if a is not None:
             a.setflags(write=False)
-    return values, labels, cutoffs, n_offline, at_test
-
-
-@_one_slot_memo
-def _written(data: DataSequence, rule: SelectionRule, perms: PermutationSample) -> tuple:
-    """``_replayed`` with its labels swapped for a private copy that each
-    candidate label is written into in place, and that copy's flat view to
-    write through.  The rule reads the copy through a read-only view, so a
-    rule that writes into its labels raises.  Every label overwrites all of
-    the test label's places, so nothing of one label is left for the next;
-    the copy is shared by every call on the same objects, which must not
-    run at the same time."""
-    values, labels, cutoffs, n_offline, at_test = _replayed(data, rule, perms)
-    work = labels.copy()
+    work = labels.copy()  # C-contiguous, so its flat view writes through
     read = work.view()
     read.setflags(write=False)
     return values, read, cutoffs, n_offline, at_test, work.reshape(-1)
@@ -145,7 +138,7 @@ def _written(data: DataSequence, rule: SelectionRule, perms: PermutationSample) 
 
 @_one_slot_memo
 def _test_point(data: DataSequence, score: LastPointScore) -> PointScore:
-    """The test point's score as a function of its label."""
+    """The test point's score as a function of its label; sets read it too."""
     return score.at(data.full_x()[-1])
 
 
@@ -183,16 +176,16 @@ def reference_mask(
     the sample and is accounted for separately by the p-value functions.
     Every row's arguments come from the label-free replay of ``data``,
     ``rule`` and ``perms`` (built once for those very objects), with ``y``
-    written in place where a row holds the test label (``_written``: the
-    rule reads the labels read-only).  Without a taxonomy one
-    ``rule.decide_rows`` call decides every row; with one, each row
-    replays ``rule.decide_trajectory`` and ``taxonomy.mask`` keeps the
-    stacked trajectories it admits.  A NaN label is a ``DomainError``;
+    written in place where a row holds the test label (the rule reads
+    the labels read-only).  Without a taxonomy one ``rule.decide_rows``
+    call decides every row; with one, each row replays
+    ``rule.decide_trajectory`` and ``taxonomy.mask`` keeps the stacked
+    trajectories it admits.  A NaN label is a ``DomainError``;
     ±inf are labels below and above every other.
     """
     if math.isnan(y):
         raise DomainError("a candidate label must not be NaN")
-    values, labels, cutoffs, n_offline, at_test, flat = _written(data, rule, perms)
+    values, labels, cutoffs, n_offline, at_test, flat = _replayed(data, rule, perms)
     flat[at_test] = y
     if taxonomy is None:
         return rule.decide_rows(values, labels, cutoffs, n_offline)

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import fast
 from .datasets import StreamData, load_dataset
+from .engine import _test_point
 from .errors import ConfigurationError, GuardError, ParseError
 from .generators import GeneratorConfig, TrueMeanModel, feature_dim, generate
 from .metrics import Event, FcrReport, MetricsRow, fcr_report, summarize
@@ -442,7 +443,7 @@ def _run_replication(res: ResolvedExperiment, rep: int) -> list[Event]:
         taxonomy = SelectionTaxonomy.singleton(traj[:t]) if cfg.taxonomy_fcr else None
         perms = None
         y_true = float(Y[n_off + t - 1])
-        x_t = X[n_off + t - 1]
+        at = _test_point(data, res.score)  # every method's set, and the engine, read this one evaluation
         for method in cfg.methods:
             if method == "vanilla":
                 dset = vanilla_set(point_scores[: t - 1], cfg.alpha)
@@ -461,8 +462,8 @@ def _run_replication(res: ResolvedExperiment, rep: int) -> list[Event]:
                     rep=rep,
                     t=t,
                     method=method,
-                    covered=int(dset.contains(y_true, res.score, x_t)),
-                    size=float(dset.measure(res.score, x_t)),
+                    covered=int(dset.contains(y_true, at)),
+                    size=float(dset.measure(at)),
                 )
             )
     return events

@@ -88,30 +88,24 @@ class LastPointScore(ConformityScore):
     """A score that reads only the final data point.
 
     Subclasses provide ``at(x)``, the score at covariate row ``x`` as a
-    function of the label; the pointwise value and the exact sublevel set
-    in label space are read from it, and batch evaluation has a generic
-    fallback.  A score is an immutable value whose points score alone: the
-    engine scores a sequence's labeled points once and evaluates the test
-    point's ``at`` once per identity of the sequence and score, and each
-    candidate label then only reads ``of``.
+    function of the label, from which the pointwise value and the exact
+    sublevel set in label space are read, and ``of_points``, the scores of
+    many labeled rows.  A score is an immutable value whose points score
+    alone: the engine scores a sequence's labeled points once and evaluates
+    the test point's ``at`` once per identity of the sequence and score,
+    and each candidate label then only reads ``of``.
     """
 
     @abc.abstractmethod
     def at(self, x: np.ndarray) -> PointScore:
         """The score at covariate row ``x``, with the model evaluated once."""
 
-    def of_point(self, x: np.ndarray, y: float) -> float:
-        return self.at(x).of(y)
-
-    def sublevel(self, x: np.ndarray, tau: float) -> Intervals:
-        """{y : v(x, y) <= tau} as a finite union of closed intervals."""
-        return self.at(x).sublevel(tau)
-
+    @abc.abstractmethod
     def of_points(self, X: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.array([self.of_point(x, float(y)) for x, y in zip(X, ys)])
+        """The score of each labeled row ``(X[i], ys[i])``."""
 
     def of_sequence(self, xs: np.ndarray, ys: np.ndarray) -> float:
-        return self.of_point(xs[-1], float(ys[-1]))
+        return self.at(xs[-1]).of(float(ys[-1]))
 
 
 _NOT_FINITE = "the score's model output must be finite"

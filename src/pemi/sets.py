@@ -1,10 +1,10 @@
 """Symbolic prediction sets and their materialization in label space.
 
 A descriptor records the *shape* of a prediction set (thresholds on a
-last-point score); membership, intervals, and Lebesgue measure are
-obtained by pushing it through the score's sublevel-set inverter at the
-test covariates.  A set of several pieces evaluates the score at the test
-covariates once (``score.at``) and inverts each piece's threshold on it.
+last-point score); membership, intervals, and Lebesgue measure are read
+from the test point's score as a function of its label, ``at =
+score.at(test_x)``, which the caller evaluates once and every method of
+every set of that point shares: ``at.of`` and ``at.sublevel`` call no model.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .scores import Intervals, LastPointScore
+from .scores import Intervals, PointScore
 
 __all__ = [
     "ThresholdSet",
@@ -51,15 +49,15 @@ class ThresholdSet:
     threshold: float
     inclusive: bool = True
 
-    def contains(self, y: float, score: LastPointScore, x: np.ndarray) -> bool:
-        v = score.of_point(x, y)
+    def contains(self, y: float, at: PointScore) -> bool:
+        v = at.of(y)
         return v <= self.threshold if self.inclusive else v < self.threshold
 
-    def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals:
-        return score.sublevel(x, self.threshold)
+    def intervals(self, at: PointScore) -> Intervals:
+        return at.sublevel(self.threshold)
 
-    def measure(self, score: LastPointScore, x: np.ndarray) -> float:
-        return total_length(self.intervals(score, x))
+    def measure(self, at: PointScore) -> float:
+        return total_length(self.intervals(at))
 
 
 @dataclass(frozen=True)
@@ -71,18 +69,17 @@ class CutoffPiecewiseSet:
     q_above: float
     q_below: float
 
-    def contains(self, y: float, score: LastPointScore, x: np.ndarray) -> bool:
+    def contains(self, y: float, at: PointScore) -> bool:
         q = self.q_below if y <= self.cutoff else self.q_above
-        return score.of_point(x, y) <= q
+        return at.of(y) <= q
 
-    def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals:
-        at = score.at(x)
+    def intervals(self, at: PointScore) -> Intervals:
         below = _clip(at.sublevel(self.q_below), -math.inf, self.cutoff)
         above = _clip(at.sublevel(self.q_above), self.cutoff, math.inf)
         return below + above
 
-    def measure(self, score: LastPointScore, x: np.ndarray) -> float:
-        return total_length(self.intervals(score, x))
+    def measure(self, at: PointScore) -> float:
+        return total_length(self.intervals(at))
 
 
 @dataclass(frozen=True)
@@ -107,17 +104,16 @@ class IntervalUnionSet:
         if any(self.breakpoints[i] > self.breakpoints[i + 1] for i in range(len(self.breakpoints) - 1)):
             raise ValueError("breakpoints must be sorted")
 
-    def contains(self, y: float, score: LastPointScore, x: np.ndarray) -> bool:
+    def contains(self, y: float, at: PointScore) -> bool:
         # exact boundary values are decided by their recorded membership
         lo = bisect.bisect_left(self.breakpoints, y)
         hi = bisect.bisect_right(self.breakpoints, y)
         if lo != hi:
             return self.boundary_included[lo]
-        return score.of_point(x, y) <= self.thresholds[lo]
+        return at.of(y) <= self.thresholds[lo]
 
-    def intervals(self, score: LastPointScore, x: np.ndarray) -> Intervals:
+    def intervals(self, at: PointScore) -> Intervals:
         pieces: list[tuple[float, float]] = []
-        at = score.at(x)
         bounds = (-math.inf, *self.breakpoints, math.inf)
         for j, tau in enumerate(self.thresholds):
             pieces.extend(_clip(at.sublevel(tau), bounds[j], bounds[j + 1]))
@@ -133,5 +129,5 @@ class IntervalUnionSet:
                 merged.append([a, b])
         return tuple((a, b) for a, b in merged)
 
-    def measure(self, score: LastPointScore, x: np.ndarray) -> float:
-        return total_length(self.intervals(score, x))
+    def measure(self, at: PointScore) -> float:
+        return total_length(self.intervals(at))

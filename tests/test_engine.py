@@ -60,7 +60,7 @@ def test_always_rule_full_enumeration_matches_rank_pvalue(rng, residual_score):
     for y in (-1.0, 0.2, 3.3):
         p = pemi_pvalue(y, data, AlwaysSelectRule(), residual_score, perms)
         scores = residual_score.of_points(data.x, data.y)
-        v_t = residual_score.of_point(data.test_x, y)
+        v_t = residual_score.at(data.test_x).of(y)
         # each of the 3 last-slot assignments appears in 2 of the 6 orderings
         assert p.value == pytest.approx((1 + int(np.sum(scores >= v_t))) / 3)
 
@@ -282,7 +282,7 @@ def test_taxonomy_singleton_filters_trajectories(rng, residual_score):
 
 def _cold(monkeypatch):
     """Empty the engine's memo slots: the next call builds from scratch."""
-    for memo in (engine._replayed, engine._written, engine._test_point, engine._carried):
+    for memo in (engine._replayed, engine._test_point, engine._carried):
         monkeypatch.setattr(memo, "last", None)
 
 
@@ -349,9 +349,12 @@ def test_label_free_replay_is_read_only_and_keeps_no_failed_build(monkeypatch):
     perms = sample_permutations(4, 10, seed=1, n_offline=inst.data.n_offline)
     _cold(monkeypatch)
     pemi_pvalue(0.0, inst.data, inst.rule, inst.score, perms)
-    values, labels, cutoffs, _, at_test = engine._replayed(inst.data, inst.rule, perms)
+    values, labels, cutoffs, _, at_test, flat = engine._replayed(inst.data, inst.rule, perms)
     for a in (values, labels, cutoffs, at_test, *engine._carried(inst.data, inst.score, perms)):
         assert not a.flags.writeable
+    # the one writable array is the labels' own flat view, the last label written at every test place
+    assert flat.flags.writeable and np.shares_memory(flat, labels)
+    assert np.array_equal(labels.reshape(-1)[at_test], np.zeros(at_test.size))
     # e-LOND needs cutoffs and an offline block: a plain sequence raises on every call
     plain = make_sequence(np.random.default_rng(6), t=4)
     plain_perms = sample_permutations(4, 10, seed=1)
@@ -611,7 +614,7 @@ def _loop_multi_test_pvalue(y, data, j, rule, score, perms):
     n = data.n
     pool_x = np.concatenate([data.calib_x, data.test_x[j : j + 1]])
     pool_y = np.append(data.calib_y, y)
-    point_scores = np.append(score.of_points(data.calib_x, data.calib_y), score.of_point(data.test_x[j], y))
+    point_scores = np.append(score.of_points(data.calib_x, data.calib_y), score.at(data.test_x[j]).of(y))
     kept = []
     for order in perms.matrix:
         test_x = data.test_x.copy()
@@ -664,7 +667,7 @@ def test_multi_test_threshold_matches_grid(rng, residual_score):
     dset = multi_test_threshold_set(data, j, rule, residual_score, perms, alpha=0.3)
     grid = np.linspace(-4, 4, 41)
     mask = [multi_test_pvalue(float(y), data, j, rule, residual_score, perms).exceeds(0.3) for y in grid]
-    fast_mask = [dset.contains(float(y), residual_score, data.test_x[j]) for y in grid]
+    fast_mask = [dset.contains(float(y), residual_score.at(data.test_x[j])) for y in grid]
     assert np.array_equal(mask, fast_mask)
 
 

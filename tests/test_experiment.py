@@ -21,6 +21,7 @@ from pemi.experiment import (
 from pemi.oracle import all_orders_sample
 from pemi.permutations import sample_permutations
 from pemi.rules import CovariateRule, SelectionTaxonomy
+from pemi.scores import AbsoluteResidualScore
 from pemi.types import DataSequence
 
 from conftest import closed_form_is_the_engine, prefix
@@ -128,6 +129,25 @@ def test_methods_sharing_a_reference_log_what_they_log_apart(monkeypatch, method
     assert steps and len(built) == steps * (3 if "oracle" in methods else 1)
     for m in methods:
         assert [e for e in together if e.method == m] == run_experiment(cfg(methods=(m,))).events
+
+
+def test_every_method_of_a_step_reads_one_evaluation_of_the_test_point_score(monkeypatch):
+    """A replication evaluates the test point's score (``score.at``) once per
+    selected step, and every method's set reads that one evaluation."""
+    cfg = _tiny_config(
+        T=6,
+        N=1,
+        M=20,
+        rule={"name": "decision_driven", "tau0": 3, "tau1": 0.0, "model": {"name": "true_mean"}},
+        methods=("pemi_det", "pemi_rand", "vanilla", "oracle"),
+    )
+    calls = []
+    at = AbsoluteResidualScore.at
+    monkeypatch.setattr(AbsoluteResidualScore, "at", lambda self, x: calls.append(1) or at(self, x))
+    events = experiment._run_replication(resolve_experiment(cfg), 0)
+    steps = {e.t for e in events}
+    assert steps and len(events) == 4 * len(steps)
+    assert len(calls) == len(steps)
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -431,8 +451,9 @@ def test_oracle_method_honours_the_taxonomy(tmp_path):
         full = all_orders_sample(e.t, 1, skip_identity=True)
         taxonomy = SelectionTaxonomy.singleton(traj[: e.t])
         want = fast.covariate_set(data, res.rule, res.score, full, cfg.alpha, taxonomy)
-        assert e.covered == int(want.contains(float(Y[e.t - 1]), res.score, X[e.t - 1]))
-        assert e.size == want.measure(res.score, X[e.t - 1])
+        at = res.score.at(X[e.t - 1])
+        assert e.covered == int(want.contains(float(Y[e.t - 1]), at))
+        assert e.size == want.measure(at)
         plain = fast.covariate_set(data, res.rule, res.score, full, cfg.alpha)
-        differs += plain.measure(res.score, X[e.t - 1]) != e.size
+        differs += plain.measure(at) != e.size
     assert differs

@@ -147,10 +147,10 @@ def test_uncertainty_budget_set_matches_engine_and_enumeration(rng, residual_sco
         perms = sample_permutations(t, 20, seed=trial)
         dset = fast.covariate_set(data, rule, residual_score, perms, 0.4)
         generic = pemi_set_grid(grid, data, rule, residual_score, perms, 0.4)
-        assert np.array_equal(generic, [dset.contains(float(y), residual_score, data.test_x) for y in grid])
+        assert np.array_equal(generic, [dset.contains(float(y), residual_score.at(data.test_x)) for y in grid])
         full = fast.covariate_set(data, rule, residual_score, all_orders_sample(t, skip_identity=True), 0.4)
         enumerated = full_pemi_set_grid(grid, data, rule, residual_score, 0.4)
-        assert np.array_equal(enumerated, [full.contains(float(y), residual_score, data.test_x) for y in grid])
+        assert np.array_equal(enumerated, [full.contains(float(y), residual_score.at(data.test_x)) for y in grid])
         checked += 1
         if checked >= 10:
             return
@@ -210,11 +210,11 @@ def test_randomized_engine_and_closed_form_agree_where_u_times_ties_meets_the_le
     rule = AlwaysSelectRule()
     perms = all_orders_sample(3, skip_identity=True)
     y = 100.0
-    assert residual_score.of_point(data.test_x, y) > residual_score.of_points(data.x, data.y).max()
+    assert residual_score.at(data.test_x).of(y) > residual_score.of_points(data.x, data.y).max()
     for alpha, u in ((0.1, 0.30000000000000004), (0.2, 0.6000000000000001), (0.3, 0.9)):
         dset = fast.covariate_set_randomized(data, rule, residual_score, perms, alpha, u)
         generic = pemi_set_grid([y], data, rule, residual_score, perms, alpha, u=u)
-        assert generic[0] == dset.contains(y, residual_score, data.test_x), (alpha, u)
+        assert generic[0] == dset.contains(y, residual_score.at(data.test_x)), (alpha, u)
 
 
 # -- cutoff rules -------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_earlier_outcome_t2_full_enumeration(rng, residual_score):
         assert len(dset.breakpoints) == 1 and len(dset.thresholds) == 2
         grid = np.sort(np.concatenate([np.linspace(-4, 4, 41), dset.breakpoints]))
         generic = pemi_set_grid(grid, data, rule, residual_score, perms, 0.4)
-        mine = [dset.contains(float(y), residual_score, data.test_x) for y in grid]
+        mine = [dset.contains(float(y), residual_score.at(data.test_x)) for y in grid]
         assert np.array_equal(generic, mine)
         return
     pytest.fail("never drew a selected instance")
@@ -329,7 +329,7 @@ def test_earlier_outcome_selection_compares_like_the_rule():
     grid = np.arange(0.5, 100.0, 4.0)
     dset = fast.earlier_outcome_set(data, rule, score, perms, alpha=0.4)
     generic = pemi_set_grid(grid, data, rule, score, perms, 0.4)
-    mine = [dset.contains(float(y), score, data.test_x) for y in grid]
+    mine = [dset.contains(float(y), score.at(data.test_x)) for y in grid]
     assert np.array_equal(generic, mine)
 
 
@@ -357,7 +357,7 @@ def test_decayed_closed_form_matches_engine(seed, hi, rule):
         grid = np.sort(np.concatenate([grid, MU1(data.x)]))
     dset = fast._closed_form(data, rule, score, perms, 0.3)
     generic = pemi_set_grid(grid, data, rule, score, perms, 0.3)
-    assert np.array_equal(generic, [dset.contains(float(y), score, data.test_x) for y in grid])
+    assert np.array_equal(generic, [dset.contains(float(y), score.at(data.test_x)) for y in grid])
 
 
 def test_earlier_outcome_t1_everything(residual_score):
@@ -447,7 +447,7 @@ def test_taxonomy_restricted_fast_path_matches_generic(rng, residual_score, n_of
                 generic = pemi_set_grid(
                     grid, data, rule, residual_score, perms, 0.4, taxonomy=taxonomy
                 )
-                mine = [dset.contains(float(y), residual_score, data.test_x) for y in grid]
+                mine = [dset.contains(float(y), residual_score.at(data.test_x)) for y in grid]
                 assert np.array_equal(generic, mine)
         checked += 1
         if checked >= 8:
@@ -468,7 +468,7 @@ def test_singleton_taxonomy_of_another_length_keeps_the_identity_alone(rng, resi
     for u in (None, 0.3):
         dset = fast._closed_form(data, rule, residual_score, perms, 0.4, u, taxonomy)
         generic = pemi_set_grid(grid, data, rule, residual_score, perms, 0.4, u=u, taxonomy=taxonomy)
-        assert np.array_equal(generic, [dset.contains(float(y), residual_score, data.test_x) for y in grid])
+        assert np.array_equal(generic, [dset.contains(float(y), residual_score.at(data.test_x)) for y in grid])
 
 
 # -- rule needs --------------------------------------------------------------
@@ -555,7 +555,7 @@ def test_cutoff_closed_form_matches_engine_at_an_infinite_test_cutoff(family, te
         grid = np.concatenate([[-math.inf], np.linspace(data.y.min() - 3, data.y.max() + 3, 40), [math.inf]])
         closed = fast._closed_form(data, inst.rule, inst.score, perms, inst.alpha)
         generic = pemi_set_grid(grid, data, inst.rule, inst.score, perms, inst.alpha)
-        assert [closed.contains(float(y), inst.score, data.test_x) for y in grid] == generic.tolist()
+        assert [closed.contains(float(y), inst.score.at(data.test_x)) for y in grid] == generic.tolist()
         checked += 1
     assert checked >= 5  # +inf lifts the test point's p-value, so fewer draws are selected
 

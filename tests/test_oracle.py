@@ -51,7 +51,7 @@ def test_fcp_symmetric_reduction(rng, residual_score):
     data = make_sequence(rng, t=4)
     for y in (-0.8, 0.1, 2.0):
         scores = residual_score.of_points(data.x, data.y)
-        v_t = residual_score.of_point(data.test_x, y)
+        v_t = residual_score.at(data.test_x).of(y)
         rank_form = (1 + int(np.sum(scores >= v_t))) / 4
         assert permutation_fcp_pvalue(y, data, residual_score) == pytest.approx(rank_form)
 
@@ -171,7 +171,7 @@ def test_jomi_matches_full_enumeration_for_symmetric_covariate_rule(rng, residua
         jomi = jomi_set_symmetric(data, rule, residual_score, alpha)
         grid = np.linspace(-4, 4, 60)
         full_mask = full_pemi_set_grid(grid, data, rule, residual_score, alpha)
-        jomi_mask = [jomi.contains(float(y), residual_score, data.test_x) for y in grid]
+        jomi_mask = [jomi.contains(float(y), residual_score.at(data.test_x)) for y in grid]
         assert np.array_equal(full_mask, jomi_mask)
 
 

@@ -515,8 +515,10 @@ def test_weighted_statistics_decide_a_row_alike_alone_and_in_a_batch(n, rows, de
     below = float(((values[r, :-1] < values[r, -1]) * w).sum())
     beta = _nudged(above / total, lambda b: b * total, above)
     q = _nudged(1 - below / total, lambda q: -(1 - q) * total, -below)
-    values_avg = values.copy()  # row r's prediction on its own weighted average
+    values_avg = values.copy()  # row r's prediction on its own weighted average, the next row's one ulp above its own
     values_avg[r, -1] = float((values[r, :-1] * w).sum()) / total
+    s = (r + 1) % rows
+    values_avg[s, -1] = np.nextafter(float((values[s, :-1] * w).sum()) / total, np.inf)
     earlier = EarlierOutcomeRule(mu=MU, beta_sel=beta if 0 < beta < 1 else 0.5, decay=decay)
     rows_at_once = earlier.decide_rows(values, labels, None, 0).tolist()
     assert rows_at_once == [earlier.decide(values[i], labels[i], None, 0) for i in range(rows)]

@@ -18,41 +18,42 @@ from pemi.sets import (
 MODEL = LinearModel(intercept=0.5, coef=(2.0,))
 SCORE = AbsoluteResidualScore(model=MODEL)
 X = np.array([1.0])  # prediction = 2.5
+AT = SCORE.at(X)
 
 
 @given(st.floats(-20, 20), st.floats(-1, 8))
 def test_sublevel_is_exactly_the_sublevel_set(y, tau):
-    inside = any(lo <= y <= hi for lo, hi in SCORE.sublevel(X, tau))
-    assert inside == (SCORE.of_point(X, y) <= tau)
+    inside = any(lo <= y <= hi for lo, hi in AT.sublevel(tau))
+    assert inside == (AT.of(y) <= tau)
 
 
 def test_threshold_set_membership_and_measure():
     s = ThresholdSet(1.5)
-    assert s.contains(2.5, SCORE, X) and s.contains(4.0, SCORE, X)
-    assert not s.contains(4.01, SCORE, X)
-    assert s.measure(SCORE, X) == pytest.approx(3.0)
-    assert ThresholdSet(math.inf).measure(SCORE, X) == math.inf
-    assert ThresholdSet(-math.inf).measure(SCORE, X) == 0.0
+    assert s.contains(2.5, AT) and s.contains(4.0, AT)
+    assert not s.contains(4.01, AT)
+    assert s.measure(AT) == pytest.approx(3.0)
+    assert ThresholdSet(math.inf).measure(AT) == math.inf
+    assert ThresholdSet(-math.inf).measure(AT) == 0.0
 
 
 def test_exclusive_threshold_boundary():
     s = ThresholdSet(1.5, inclusive=False)
-    assert s.contains(3.999, SCORE, X)
-    assert not s.contains(4.0, SCORE, X)  # score exactly 1.5
-    assert s.measure(SCORE, X) == pytest.approx(3.0)
+    assert s.contains(3.999, AT)
+    assert not s.contains(4.0, AT)  # score exactly 1.5
+    assert s.measure(AT) == pytest.approx(3.0)
 
 
 def test_cutoff_piecewise_set():
     s = CutoffPiecewiseSet(cutoff=2.5, q_above=0.5, q_below=2.0)
     # below the cutoff the radius-2 band applies, above only radius 0.5
-    assert s.contains(0.5, SCORE, X)  # v = 2.0 <= q_below
-    assert not s.contains(0.4, SCORE, X)
-    assert s.contains(3.0, SCORE, X)  # v = 0.5 <= q_above
-    assert not s.contains(3.01, SCORE, X)
+    assert s.contains(0.5, AT)  # v = 2.0 <= q_below
+    assert not s.contains(0.4, AT)
+    assert s.contains(3.0, AT)  # v = 0.5 <= q_above
+    assert not s.contains(3.01, AT)
     # membership switches exactly at the cutoff side
-    assert s.contains(2.5, SCORE, X)
-    assert s.measure(SCORE, X) == pytest.approx((2.5 - 0.5) + (3.0 - 2.5))
-    assert math.isinf(CutoffPiecewiseSet(2.5, math.inf, 1.0).measure(SCORE, X))
+    assert s.contains(2.5, AT)
+    assert s.measure(AT) == pytest.approx((2.5 - 0.5) + (3.0 - 2.5))
+    assert math.isinf(CutoffPiecewiseSet(2.5, math.inf, 1.0).measure(AT))
 
 
 @pytest.mark.parametrize("q", [1.0, math.inf])
@@ -62,9 +63,9 @@ def test_no_label_lies_beyond_an_infinite_cutoff(q):
     for cutoff, kept in ((-math.inf, "q_above"), (math.inf, "q_below")):
         thresholds = {"q_above": math.inf, "q_below": math.inf, kept: q}
         s = CutoffPiecewiseSet(cutoff=cutoff, **thresholds)
-        assert s.intervals(SCORE, X) == ThresholdSet(q).intervals(SCORE, X)
-        assert s.measure(SCORE, X) == ThresholdSet(q).measure(SCORE, X)
-        assert s.contains(3.5, SCORE, X) and s.contains(3.6, SCORE, X) == math.isinf(q)
+        assert s.intervals(AT) == ThresholdSet(q).intervals(AT)
+        assert s.measure(AT) == ThresholdSet(q).measure(AT)
+        assert s.contains(3.5, AT) and s.contains(3.6, AT) == math.isinf(q)
 
 
 def test_interval_union_set():
@@ -73,14 +74,14 @@ def test_interval_union_set():
         thresholds=(0.1, math.inf, 0.2),
         boundary_included=(False, True),
     )
-    assert not s.contains(2.0, SCORE, X)
-    assert s.contains(3.0, SCORE, X)
-    assert s.contains(2.5, SCORE, X)  # middle interval has an infinite threshold
-    assert s.contains(2.0001, SCORE, X)
-    assert not s.contains(1.0, SCORE, X)  # v = 0.5 > 0.1 in the first interval
+    assert not s.contains(2.0, AT)
+    assert s.contains(3.0, AT)
+    assert s.contains(2.5, AT)  # middle interval has an infinite threshold
+    assert s.contains(2.0001, AT)
+    assert not s.contains(1.0, AT)  # v = 0.5 > 0.1 in the first interval
     # only the middle interval contributes: its whole width under an inf threshold
-    assert s.measure(SCORE, X) == pytest.approx(1.0)
-    assert math.isinf(IntervalUnionSet((), (math.inf,), ()).measure(SCORE, X))
+    assert s.measure(AT) == pytest.approx(1.0)
+    assert math.isinf(IntervalUnionSet((), (math.inf,), ()).measure(AT))
 
 
 def test_interval_union_validation():
@@ -93,7 +94,7 @@ def test_interval_union_validation():
 def test_interval_union_measure_clips_to_intervals():
     s = IntervalUnionSet(breakpoints=(2.5,), thresholds=(1.0, 0.0), boundary_included=(False,))
     # sublevel(1.0) = [1.5, 3.5] clipped to (-inf, 2.5); sublevel(0) = {2.5} clipped to (2.5, inf)
-    assert s.measure(SCORE, X) == pytest.approx(1.0)
+    assert s.measure(AT) == pytest.approx(1.0)
 
 
 def test_linear_model_row_does_not_depend_on_its_batch():
